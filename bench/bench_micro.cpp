@@ -452,6 +452,52 @@ void run_simd_sweep(const bench::BenchOptions& opts,
   ThreadPool::set_global_threads(0);
 }
 
+// The f32 kernel shapes the serving engine's forward is bound by (DESIGN.md
+// §12/§14), straight through the active kernel table, serial: the
+// transposed Laplacian apply of a 4-wide feature panel at N = 256
+// (smatmul_panel, 4x256 · 256x256), the N = 256 output head (256x48 · 48x12)
+// and a city shard's output head (2300x12 · 12x3). `n` is the node count.
+// Informational until their noise floor is known.
+void run_engine_kernel_sweep(const bench::BenchOptions& opts,
+                             std::vector<bench::MicroResult>& results) {
+  struct Shape {
+    const char* name;
+    std::size_t rows, k, m;
+    std::size_t nodes;
+    bool panel;
+  };
+  const Shape shapes[] = {
+      {"f32_lap_panel", 4, 256, 256, 256, true},
+      {"f32_head_gemm", 256, 48, 12, 256, false},
+      {"f32_head_gemm", 2300, 12, 3, 2300, false},
+  };
+  const simd::Kernels& kern = simd::active_kernels();
+  Rng rng(opts.seed + 4);
+  std::printf("\nf32 engine kernel shapes (active ISA: %s)\n",
+              simd::isa_name(simd::active_isa()));
+  std::printf("%-18s %18s %14s\n", "kernel", "rows x k x m", "ns/op");
+  for (const Shape& s : shapes) {
+    const FMatrix a = FMatrix::from(rng.normal_matrix(s.rows, s.k, 1.0));
+    const FMatrix b = FMatrix::from(rng.normal_matrix(s.k, s.m, 1.0));
+    FMatrix c(s.rows, s.m);
+    const bench::TimingStats stats = bench::measure_ns_per_op([&] {
+      std::fill(c.data(), c.data() + c.size(), 0.0f);
+      if (s.panel) {
+        kern.smatmul_panel(a.data(), b.data(), c.data(), s.rows, s.k, s.m);
+      } else {
+        kern.smatmul_rows(a.data(), b.data(), c.data(), s.k, s.m, 0, s.rows);
+      }
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    });
+    bench::MicroResult row = timed_row(s.name, s.nodes, 1.0, 1, stats);
+    row.informational = true;
+    results.push_back(row);
+    std::printf("%-18s %6zux%4zux%4zu %14.0f\n", s.name, s.rows, s.k, s.m,
+                stats.median_ns);
+  }
+}
+
 // ---- Pruned DTW graph construction sweep (DESIGN.md §13) -------------------
 
 // Diurnal series in a few phase/amplitude clusters — the structure the
@@ -690,6 +736,7 @@ int main(int argc, char** argv) {
   std::vector<rihgcn::bench::MicroResult> results;
   run_sparse_sweep(opts, results);
   run_simd_sweep(opts, results);
+  run_engine_kernel_sweep(opts, results);
   run_dtw_graph_sweep(opts, results);
   run_train_step_compare(opts, results);
   if (!opts.json_path.empty()) {

@@ -157,66 +157,63 @@ InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options,
   scratch_ = make_workspace();
 }
 
-void InferenceEngine::compile_graph_ops(const RihgcnModel& model) {
-  const HeterogeneousGraphs& g = model.graphs_;
-  const HgcnBlock::SparseLaps& cache = model.sparse_laps_;
-  const bool use_sparse = model.config_.use_sparse_graphs;
+InferenceEngine::GraphOp InferenceEngine::compile_csr_op(
+    const CsrMatrix& lap) const {
   // Transposed-dense cutover: the CSR apply costs ~nnz·width gather-bound
   // MACs, the transposed GEMM width·N²/8 streaming ones — break-even near
   // 1/8 density. The N cap bounds the materialized L̃ᵀ (≤ 16 MiB f32);
   // city-scale k-NN graphs sit far below the density bar anyway.
-  auto prefer_dense_t = [&](std::size_t nnz) {
-    return n_ <= 2048 && nnz * 8 > n_ * n_;
-  };
-  // lapT(j, i) = L̃(i, j), narrowed entry-wise exactly as FCsrMatrix::from
-  // would — both paths consume the same f32 values.
-  auto transpose_csr = [&](const CsrMatrix& c) {
-    FMatrix t(n_, n_);
-    const auto& ptr = c.row_ptr();
-    const auto& idx = c.col_idx();
-    const auto& val = c.values();
+  GraphOp op;
+  if (n_ <= 2048 && lap.nnz() * 8 > n_ * n_) {
+    // lapT(j, i) = L̃(i, j), narrowed entry-wise exactly as FCsrMatrix::from
+    // would — both paths consume the same f32 values.
+    op.dense_t = true;
+    op.lapT = FMatrix(n_, n_);
+    const auto& ptr = lap.row_ptr();
+    const auto& idx = lap.col_idx();
+    const auto& val = lap.values();
     for (std::size_t i = 0; i < n_; ++i) {
       for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p) {
-        t(idx[p], i) = static_cast<float>(val[p]);
+        op.lapT(idx[p], i) = static_cast<float>(val[p]);
       }
     }
-    return t;
-  };
+  } else {
+    op.sparse = true;
+    op.csr = FCsrMatrix::from(lap);
+    op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
+  }
+  return op;
+}
+
+void InferenceEngine::compile_graph_ops(const RihgcnModel& model) {
+  const HeterogeneousGraphs& g = model.graphs_;
+  const HgcnBlock::SparseLaps& cache = model.sparse_laps_;
+  const bool use_sparse = model.config_.use_sparse_graphs;
   auto make_op = [&](const std::optional<CsrMatrix>& cached,
                      auto dense_lap) {
+    if (use_sparse && cached.has_value()) return compile_csr_op(*cached);
+    // No CSR cache: the graph is above the model's sparse_density_limit
+    // (or sparse mode is off) — dense enough that transposed GEMM wins.
     GraphOp op;
-    if (use_sparse && cached.has_value() && !prefer_dense_t(cached->nnz())) {
-      op.sparse = true;
-      op.csr = FCsrMatrix::from(*cached);
-      op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
-    } else if (use_sparse && cached.has_value()) {
-      op.dense_t = true;
-      op.lapT = transpose_csr(*cached);
-    } else {
-      // No CSR cache: the graph is above the model's sparse_density_limit
-      // (or sparse mode is off) — dense enough that transposed GEMM wins.
-      op.dense_t = true;
-      const Matrix lap = dense_lap();
-      FMatrix t(n_, n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = 0; j < n_; ++j) {
-          t(j, i) = static_cast<float>(lap(i, j));
-        }
+    op.dense_t = true;
+    const Matrix lap = dense_lap();
+    op.lapT = FMatrix(n_, n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        op.lapT(j, i) = static_cast<float>(lap(i, j));
       }
-      op.lapT = std::move(t);
     }
     return op;
   };
+  geo_op_ =
+      make_op(cache.geo, [&] { return g.geographic().scaled_laplacian(); });
   const std::optional<CsrMatrix> none;
-  geo_op_ = make_op(use_sparse ? cache.geo : none,
-                    [&] { return g.geographic().scaled_laplacian(); });
   const std::size_t num_m = g.num_temporal();
   temporal_ops_.clear();
   temporal_ops_.reserve(num_m);
   for (std::size_t t = 0; t < num_m; ++t) {
-    const bool covered = use_sparse && t < cache.temporal.size();
     temporal_ops_.push_back(
-        make_op(covered ? cache.temporal[t] : none,
+        make_op(t < cache.temporal.size() ? cache.temporal[t] : none,
                 [&] { return g.temporal(t).scaled_laplacian(); }));
   }
 }
@@ -233,25 +230,7 @@ void InferenceEngine::compile_subgraph_ops(const HgcnBlock::SparseLaps& laps) {
           "InferenceEngine: sub-graph compilation requires every Laplacian "
           "in CSR form");
     }
-    GraphOp op;
-    if (n_ <= 2048 && cached->nnz() * 8 > n_ * n_) {
-      op.dense_t = true;
-      FMatrix t(n_, n_);
-      const auto& ptr = cached->row_ptr();
-      const auto& idx = cached->col_idx();
-      const auto& val = cached->values();
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p) {
-          t(idx[p], i) = static_cast<float>(val[p]);
-        }
-      }
-      op.lapT = std::move(t);
-    } else {
-      op.sparse = true;
-      op.csr = FCsrMatrix::from(*cached);
-      op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
-    }
-    return op;
+    return compile_csr_op(*cached);
   };
   geo_op_ = make_sub_op(laps.geo);
   temporal_ops_.clear();
@@ -402,7 +381,7 @@ void InferenceEngine::run_gcn(const GcnPlan& gcn, const GraphOp& graph,
 
 void InferenceEngine::run_hgcn(const HgcnPlan& plan, const float* x,
                                FMatrix& out, Workspace& ws, std::size_t batch,
-                               std::size_t step, bool /*layer2*/) const {
+                               std::size_t step) const {
   const std::size_t rows = batch * n_;
   const std::size_t num_m = temporal_ops_.size();
   const simd::Kernels& kern = simd::active_kernels();
@@ -460,10 +439,10 @@ void InferenceEngine::run_direction(const DirPlan& dir, Workspace& ws,
         cp[i] = xo[i] + (1.0f - mk[i]) * e[i];
       }
     }
-    run_hgcn(hgcn1_, cp, ws.s, ws, batch, t, false);
+    run_hgcn(hgcn1_, cp, ws.s, ws, batch, t);
     const float* sfeat = ws.s.data();
     if (has_hgcn2_) {
-      run_hgcn(hgcn2_, ws.s.data(), ws.s2, ws, batch, t, true);
+      run_hgcn(hgcn2_, ws.s.data(), ws.s2, ws, batch, t);
       sfeat = ws.s2.data();
     }
     // rnn input [s_t | m_t]

@@ -134,7 +134,7 @@ class InferenceEngine {
   /// ops come from `sub_laps` (every Laplacian in CSR form, rows and columns
   /// restricted to one cluster's owned ∪ halo nodes) over `sub_n` nodes.
   /// Windows fed to predict_batch must then be sub_n x F — the caller
-  /// (ShardedEngine) gathers them with data::take_rows.
+  /// (ShardedEngine) gathers the cluster's rows.
   InferenceEngine(const RihgcnModel& model, Options options,
                   const HgcnBlock::SparseLaps* sub_laps, std::size_t sub_n);
 
@@ -175,6 +175,9 @@ class InferenceEngine {
     FMatrix est_w, est_b;
   };
 
+  /// The graph op for a CSR Laplacian: transposed dense when the graph is
+  /// dense enough for the GEMM to win, CSR SpMM otherwise.
+  [[nodiscard]] GraphOp compile_csr_op(const CsrMatrix& lap) const;
   void compile_graph_ops(const RihgcnModel& model);
   /// Graph ops from a cluster's sub-Laplacian cache (every graph must be
   /// CSR-covered; throws std::invalid_argument otherwise).
@@ -193,8 +196,7 @@ class InferenceEngine {
                std::size_t batch) const;
   /// s = HGCN(x) (interval-weighted graph mixture + ReLU), per-window slots.
   void run_hgcn(const HgcnPlan& plan, const float* x, FMatrix& out,
-                Workspace& ws, std::size_t batch, std::size_t step,
-                bool layer2) const;
+                Workspace& ws, std::size_t batch, std::size_t step) const;
   /// One recurrent direction; fills ws.zcat[t] columns [col0, col0+p+q).
   void run_direction(const DirPlan& dir, Workspace& ws, std::size_t batch,
                      bool reverse, std::size_t col0) const;

@@ -1,6 +1,7 @@
 #include "core/sharded_engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "graph/cluster.hpp"
@@ -8,6 +9,36 @@
 #include "tensor/parallel.hpp"
 
 namespace rihgcn::core {
+
+namespace {
+
+// Copies the rows in `nodes` of the members InferenceEngine::predict_batch
+// reads (x_obs, x_mask, slot) into `dst`, reusing its matrices across
+// calls. data::take_rows would also copy x_truth, y and y_mask, which the
+// forward never reads.
+void gather_engine_inputs(const data::Window& w,
+                          const std::vector<std::size_t>& nodes,
+                          data::Window& dst) {
+  const auto gather = [&nodes](const std::vector<Matrix>& src,
+                               std::vector<Matrix>& out) {
+    out.resize(src.size());
+    for (std::size_t t = 0; t < src.size(); ++t) {
+      const std::size_t cols = src[t].cols();
+      if (out[t].rows() != nodes.size() || out[t].cols() != cols) {
+        out[t] = Matrix(nodes.size(), cols);
+      }
+      for (std::size_t r = 0; r < nodes.size(); ++r) {
+        std::memcpy(out[t].data() + r * cols, src[t].data() + nodes[r] * cols,
+                    cols * sizeof(double));
+      }
+    }
+  };
+  gather(w.x_obs, dst.x_obs);
+  gather(w.x_mask, dst.x_mask);
+  dst.slot = w.slot;
+}
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(const RihgcnModel& model, Options options) {
   if (options.num_shards == 0) {
@@ -90,6 +121,14 @@ ShardedEngine::ShardedEngine(const RihgcnModel& model, Options options) {
 }
 
 Matrix ShardedEngine::predict(const data::Window& w) {
+  const auto full_rows = [this](const std::vector<Matrix>& ms) {
+    return std::all_of(ms.begin(), ms.end(),
+                       [this](const Matrix& m) { return m.rows() == n_; });
+  };
+  if (!full_rows(w.x_obs) || !full_rows(w.x_mask)) {
+    throw std::invalid_argument(
+        "ShardedEngine::predict: window must have one row per graph node");
+  }
   Matrix out(n_, horizon_);
   auto run = [&](std::size_t s0, std::size_t s1) {
     for (std::size_t s = s0; s < s1; ++s) {
@@ -97,8 +136,8 @@ Matrix ShardedEngine::predict(const data::Window& w) {
       // Gather this shard's rows, forward through its sub-engine, scatter
       // only the OWNED rows — owned sets partition the nodes, so the
       // writes below are disjoint across shards (race-free in parallel).
-      const data::Window sub = data::take_rows(w, sh.nodes);
-      const data::Window* ptr = &sub;
+      gather_engine_inputs(w, sh.nodes, sh.input);
+      const data::Window* ptr = &sh.input;
       const FMatrix& pred = sh.engine->predict_batch(&ptr, 1, sh.ws);
       for (std::size_t k = 0; k < sh.owned_local.size(); ++k) {
         const std::size_t li = sh.owned_local[k];

@@ -10,7 +10,8 @@
 // sub-Laplacian extraction) and compiles one private InferenceEngine per
 // cluster over that cluster's sub-graph. A predict() then
 //
-//   1. gathers each shard's rows from the query window (data::take_rows),
+//   1. gathers each shard's rows of the query window's inputs (x_obs and
+//      x_mask, into a per-shard buffer reused across calls),
 //   2. runs every shard's sub-engine — in parallel across shards on the
 //      global ThreadPool when Options::parallel is set (each shard owns a
 //      private Workspace, and the shard bodies run with
@@ -84,6 +85,7 @@ class ShardedEngine {
     std::vector<std::size_t> owned_global;  ///< global id of each owned node
     std::unique_ptr<InferenceEngine> engine;
     InferenceEngine::Workspace ws;
+    data::Window input;  ///< this shard's rows of the query's x_obs/x_mask
   };
 
   std::size_t n_ = 0;

@@ -20,7 +20,9 @@
 //    guarantee of DESIGN.md §8 with SIMD on.
 //  * float kernels (the f32 inference path, tensor/fmatrix.hpp) may use FMA
 //    and are held to an ULP-BOUNDED tolerance against the double reference
-//    instead (tests/test_kernel_conformance.cpp).
+//    instead (tests/test_kernel_conformance.cpp). The AVX2 f32 GEMMs are in
+//    addition bitwise equal to a per-element ascending-k std::fmaf chain,
+//    however they tile rows and columns.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +80,8 @@ struct Kernels {
 
   // ---- float kernels: ULP-bounded contract (FMA allowed) ---------------
   void (*saxpy)(float* y, float a, const float* x, std::size_t n);
-  /// C += A·B over output rows [i0, i1), float, FMA-accumulated.
+  /// C += A·B over output rows [i0, i1), float, FMA-accumulated in
+  /// ascending k per element.
   void (*smatmul_rows)(const float* a, const float* b, float* c,
                        std::size_t k, std::size_t m, std::size_t i0,
                        std::size_t i1);
@@ -87,10 +90,10 @@ struct Kernels {
                      const float* vals, const float* b, float* c,
                      std::size_t m, std::size_t i0, std::size_t i1);
   /// Panel GEMM C(rows x m) += A(rows x k)·B(k x m) for SHORT panels (rows
-  /// ≲ 8) against a large B: B is streamed once per 4-row group instead of
-  /// once per row, which is what the serving engine's transposed Laplacian
-  /// apply (outᵀ = xᵀ·L̃ᵀ, DESIGN.md §14) is bound by. Same ascending-k
-  /// per-element FMA order as smatmul_rows.
+  /// ≲ 8) against a large B: B is streamed once per 4-row block instead of
+  /// once per row, which is what the serving engine's transposed
+  /// Laplacian apply (outᵀ = xᵀ·L̃ᵀ, DESIGN.md §14) is bound by. Same
+  /// ascending-k per-element FMA order as smatmul_rows.
   void (*smatmul_panel)(const float* a, const float* b, float* c,
                         std::size_t rows, std::size_t k, std::size_t m);
   /// Fused LSTM gate row math: per row r of `gates` ((rows x 4h), layout

@@ -7,7 +7,8 @@
 // rounding per op, same as scalar). No FMA, no horizontal reductions. Scalar
 // tails run the identical expression, so results match the scalar table bit
 // for bit. Float kernels are the serving path and use _mm256_fmadd_ps freely
-// under the ULP contract.
+// under the ULP contract; the f32 GEMMs still give every output element one
+// ascending-k FMA chain, whatever their tiling.
 #include "tensor/simd.hpp"
 
 #include <cmath>
@@ -234,15 +235,121 @@ void v_saxpy(float* y, float a, const float* x, std::size_t n) {
   for (; i < n; ++i) y[i] = std::fmaf(a, x[i], y[i]);
 }
 
-// Register-blocked i-j-k: each 64/32/8-column tile of an output row is held
-// in YMM accumulators across the whole k loop and stored once, instead of
-// round-tripping C through memory per (i, k) — that store-forward chain is
-// what caps the naive i-k-j form near one FMA per 8–9 cycles. Every output
-// element still receives its terms in ascending-k FMA order, so the tiling
-// is bitwise-neutral (and the a==0 skip only elides terms that would leave
-// an FMA accumulator unchanged).
+// ---- f32 GEMM register tiles ------------------------------------------------
+// A tile is R rows x 8V columns of C, held in R·V YMM accumulators across
+// the whole k loop and stored once. Each output element still receives its
+// terms in ascending-k FMA order, so any row/column tiling is
+// bitwise-neutral. Accumulators must stay in registers at the default -O2
+// too, not only where -O3 happens to unroll: the r/v loops are
+// force-unrolled so acc[][] is scalarized into registers (without the
+// pragmas GCC 12 at -O2 keeps such arrays on the stack, a load-FMA-store
+// per term).
+template <int R, int V>
+inline void ymm_tile(const float* ap, const float* bp, float* cp,
+                     std::size_t k, std::size_t m, std::size_t j) {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm256_loadu_ps(cp + r * m + j + 8 * v);
+    }
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    __m256 bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm256_loadu_ps(bp + kk * m + j + 8 * v);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 va = _mm256_set1_ps(ap[r * k + kk]);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(va, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_ps(cp + r * m + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+// C(R x m) += A(R x k)·B(k x m): every column tile keeps one accumulator per
+// row per vector, so each B vector is loaded once per R rows and a tile runs
+// R·V independent FMA chains — 12 for 4-row blocks (with the 3 B vectors
+// and the broadcast that fills the 16 YMM registers), 8 otherwise. A single
+// row's B vectors are used once each and stay memory operands. No
+// zero-skip: a zero A term contributes fma(0, b, acc) = acc.
+template <int R>
+void row_block(const float* ap, const float* bp, float* cp, std::size_t k,
+               std::size_t m) {
+  constexpr int V = R == 8 ? 1 : R == 4 ? 3 : 8;
+  std::size_t j = 0;
+  for (; j + 8 * V <= m; j += 8 * V) ymm_tile<R, V>(ap, bp, cp, k, m, j);
+  if constexpr (V > 1) {
+    for (; j + 8 <= m; j += 8) ymm_tile<R, 1>(ap, bp, cp, k, m, j);
+  }
+  if (j + 4 <= m) {  // 4-wide tail: f32 feature panels are 4 columns
+    __m128 acc[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r] = _mm_loadu_ps(cp + r * m + j);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const __m128 bv = _mm_loadu_ps(bp + kk * m + j);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm_fmadd_ps(_mm_set1_ps(ap[r * k + kk]), bv, acc[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) _mm_storeu_ps(cp + r * m + j, acc[r]);
+    j += 4;
+  }
+  for (; j < m; ++j) {
+    float acc[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r] = cp[r * m + j];
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float bv = bp[kk * m + j];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        acc[r] = std::fmaf(ap[r * k + kk], bv, acc[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) cp[r * m + j] = acc[r];
+  }
+}
+
+// C += A·B over rows [i0, i1) in row blocks: 8-row blocks of 8-column tiles
+// while m is narrower than one 24-column tile, 4-row blocks of 24-column
+// tiles otherwise, then single rows.
+void row_blocks(const float* ap, const float* bp, float* cp, std::size_t k,
+                std::size_t m, std::size_t i0, std::size_t i1) {
+  std::size_t i = i0;
+  if (m < 24) {
+    for (; i + 8 <= i1; i += 8) row_block<8>(ap + i * k, bp, cp + i * m, k, m);
+  }
+  for (; i + 4 <= i1; i += 4) row_block<4>(ap + i * k, bp, cp + i * m, k, m);
+  for (; i < i1; ++i) row_block<1>(ap + i * k, bp, cp + i * m, k, m);
+}
+
+// Outputs narrower than 64 columns go through the row blocks: one row alone
+// cannot fill the 64-column, 8-accumulator tile below, so its 4/8/12-wide
+// tiles would be one or two FMA chains each, running at FMA latency. From 64
+// columns on, one row at a time: its 8 named accumulators per tile already
+// hide the latency, and the a == 0 skip only elides terms that would leave
+// an FMA accumulator unchanged.
 void v_smatmul_rows(const float* ap, const float* bp, float* cp, std::size_t k,
                     std::size_t m, std::size_t i0, std::size_t i1) {
+  if (m < 64) {
+    row_blocks(ap, bp, cp, k, m, i0, i1);
+    return;
+  }
   for (std::size_t i = i0; i < i1; ++i) {
     const float* arow = ap + i * k;
     float* crow = cp + i * m;
@@ -369,79 +476,12 @@ void v_sspmm_rows(const std::size_t* row_ptr, const std::size_t* col_idx,
   }
 }
 
-// Short-panel GEMM: R rows of A advance together through one j-tile so each
-// B row is loaded once per R-row group, not once per row — for an (8 x N)
-// panel against an (N x N) B that cuts B streaming 4–8x, which is what the
-// transposed Laplacian apply is bound by. Ascending-k FMA order per element
-// (no zero-skip: a zero A term contributes fma(0, b, acc) = acc).
-template <int R>
-void panel_rows(const float* ap, const float* bp, float* cp, std::size_t k,
-                std::size_t m) {
-  std::size_t j = 0;
-  for (; j + 16 <= m; j += 16) {
-    __m256 acc0[R], acc1[R];
-    for (int r = 0; r < R; ++r) {
-      acc0[r] = _mm256_loadu_ps(cp + r * m + j);
-      acc1[r] = _mm256_loadu_ps(cp + r * m + j + 8);
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* brow = bp + kk * m + j;
-      const __m256 b0 = _mm256_loadu_ps(brow);
-      const __m256 b1 = _mm256_loadu_ps(brow + 8);
-      for (int r = 0; r < R; ++r) {
-        const __m256 va = _mm256_set1_ps(ap[r * k + kk]);
-        acc0[r] = _mm256_fmadd_ps(va, b0, acc0[r]);
-        acc1[r] = _mm256_fmadd_ps(va, b1, acc1[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_ps(cp + r * m + j, acc0[r]);
-      _mm256_storeu_ps(cp + r * m + j + 8, acc1[r]);
-    }
-  }
-  for (; j + 8 <= m; j += 8) {
-    __m256 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm256_loadu_ps(cp + r * m + j);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(bp + kk * m + j);
-      for (int r = 0; r < R; ++r) {
-        acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(ap[r * k + kk]), b0, acc[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) _mm256_storeu_ps(cp + r * m + j, acc[r]);
-  }
-  if (j + 4 <= m) {
-    __m128 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm_loadu_ps(cp + r * m + j);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const __m128 b0 = _mm_loadu_ps(bp + kk * m + j);
-      for (int r = 0; r < R; ++r) {
-        acc[r] = _mm_fmadd_ps(_mm_set1_ps(ap[r * k + kk]), b0, acc[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) _mm_storeu_ps(cp + r * m + j, acc[r]);
-    j += 4;
-  }
-  for (; j < m; ++j) {
-    for (int r = 0; r < R; ++r) {
-      float acc = cp[r * m + j];
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc = std::fmaf(ap[r * k + kk], bp[kk * m + j], acc);
-      }
-      cp[r * m + j] = acc;
-    }
-  }
-}
-
+// Short panels (the transposed Laplacian apply's 4 or 8 rows against an
+// N x N B) are the same row blocks: B is streamed once per 4-row block
+// instead of once per row.
 void v_smatmul_panel(const float* ap, const float* bp, float* cp,
                      std::size_t rows, std::size_t k, std::size_t m) {
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) panel_rows<4>(ap + r * k, bp, cp + r * m, k, m);
-  if (r + 2 <= rows) {
-    panel_rows<2>(ap + r * k, bp, cp + r * m, k, m);
-    r += 2;
-  }
-  if (r < rows) panel_rows<1>(ap + r * k, bp, cp + r * m, k, m);
+  row_blocks(ap, bp, cp, k, m, 0, rows);
 }
 
 // ---- fused recurrent-cell row math -----------------------------------------

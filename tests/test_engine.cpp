@@ -16,7 +16,8 @@
 //  * EngineSharded.*  — the cluster-sharded engine (DESIGN.md §16): one
 //    shard is bitwise the full engine, parallel shards are bitwise the
 //    serial sharded forward, multi-shard output stays near the full
-//    forward (Cluster-GCN halo truncation) and covers every node.
+//    forward (Cluster-GCN halo truncation) and covers every node, and a
+//    forecast reads only the window's engine inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -372,6 +373,28 @@ TEST(EngineSharded, DeterministicAcrossInstancesAndRejectsZeroShards) {
   EXPECT_EQ(a.predict(w), b.predict(w));
   so.num_shards = 0;
   EXPECT_THROW(core::ShardedEngine(*s.model, so), std::invalid_argument);
+}
+
+TEST(EngineSharded, ReadsOnlyEngineInputsAndRejectsWrongNodeCount) {
+  // predict() gathers only x_obs, x_mask and slot into each shard: a window
+  // stripped of its ground truth and targets forecasts the same bits, and a
+  // window without one row per node is refused before any shard runs.
+  EngineFixture s = make_setup(small_config());
+  core::ShardedEngine::Options so;
+  so.num_shards = 3;
+  core::ShardedEngine sharded(*s.model, so);
+  const data::Window w = s.sampler->make_window(4);
+  data::Window inputs_only;
+  inputs_only.slot = w.slot;
+  inputs_only.x_obs = w.x_obs;
+  inputs_only.x_mask = w.x_mask;
+  const Matrix want = sharded.predict(w);
+  EXPECT_EQ(sharded.predict(inputs_only), want);
+  data::Window short_mask = w;
+  short_mask.x_mask.back() =
+      Matrix(w.x_mask.back().rows() - 1, w.x_mask.back().cols());
+  EXPECT_THROW((void)sharded.predict(short_mask), std::invalid_argument);
+  EXPECT_EQ(sharded.predict(w), want);
 }
 
 }  // namespace

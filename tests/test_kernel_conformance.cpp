@@ -16,12 +16,15 @@
 //  * ULP-BOUNDED (float): the f32 serving kernels (tensor/fmatrix.hpp, FMA
 //    allowed) stay within (k+2)·eps_f32·Σ|a||b| of the f64 reference per
 //    element.
+//  * BITWISE (f32 GEMM, AVX2 table): smatmul_rows and smatmul_panel equal a
+//    per-element ascending-k std::fmaf chain, whatever their register tiling.
 //  * RIHGCN_SIMD parsing: strict — misspelled or unsupported values throw,
 //    no silent fallback.
 //
 // All KernelConformance.* tests also run under TSan (tools/run_tsan.sh).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -476,6 +479,99 @@ TEST(KernelConformance, FloatMatmulThreadCountInvariant) {
     for (std::size_t i = 0; i < out.rows(); ++i)
       for (std::size_t j = 0; j < out.cols(); ++j)
         EXPECT_EQ(out(i, j), ref(i, j)) << "@" << threads << "T";
+  }
+}
+
+// ---- Float GEMM kernels: bitwise against an ascending-k FMA chain -----------
+
+// C += A·B with every element seeded from C and then fused with a_ik·b_kj for
+// ascending k — one rounding per term. The AVX2 tables may tile rows and
+// columns any way they like but must reproduce exactly this chain; the ULP
+// bounds above would also accept a tile that reordered terms.
+std::vector<float> fma_chain_reference(const std::vector<float>& a,
+                                       const std::vector<float>& b,
+                                       std::vector<float> c, std::size_t rows,
+                                       std::size_t k, std::size_t m) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      float acc = c[i * m + j];
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc = std::fmaf(a[i * k + kk], b[kk * m + j], acc);
+      }
+      c[i * m + j] = acc;
+    }
+  }
+  return c;
+}
+
+// Mixed-sign normals with a `zero_frac` share of exact zeros of either sign.
+std::vector<float> random_f32(Rng& rng, std::size_t n, double zero_frac) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    if (rng.bernoulli(zero_frac)) {
+      x = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    } else {
+      x = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+  }
+  return v;
+}
+
+// Index of the first element whose bit pattern differs, or x.size().
+std::size_t first_bit_mismatch(const std::vector<float>& x,
+                               const std::vector<float>& y) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(x[i]) !=
+        std::bit_cast<std::uint32_t>(y[i])) {
+      return i;
+    }
+  }
+  return x.size();
+}
+
+TEST(KernelConformance, FloatGemmBitwiseMatchesFmaChain) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available on this host";
+  const simd::Kernels& avx2 = simd::kernels_for(simd::Isa::kAvx2);
+  // Rows cover every 8/4/1 row-block remainder plus a city-shard-sized run;
+  // widths cover every 8/4/1 column-tile remainder and both sides of the
+  // narrow/wide switch; depths reach a full N = 256 Laplacian panel.
+  std::vector<std::size_t> row_counts;
+  for (std::size_t r = 1; r <= 17; ++r) row_counts.push_back(r);
+  row_counts.push_back(2300);
+  const std::size_t widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17,
+                                31, 32, 33, 64};
+  const std::size_t depths[] = {1, 4, 24, 48, 256};
+  Rng rng(97);
+  for (std::size_t rows : row_counts) {
+    for (std::size_t m : widths) {
+      for (std::size_t k : depths) {
+        const std::vector<float> a = random_f32(rng, rows * k, 0.3);
+        const std::vector<float> b = random_f32(rng, k * m, 0.0);
+        const std::vector<float> seed = random_f32(rng, rows * m, 0.0);
+        const std::vector<float> want =
+            fma_chain_reference(a, b, seed, rows, k, m);
+        const auto expect_same = [&](const std::vector<float>& got,
+                                     const char* what) {
+          const std::size_t at = first_bit_mismatch(got, want);
+          EXPECT_EQ(at, got.size())
+              << what << " rows=" << rows << " k=" << k << " m=" << m
+              << ": element " << at << " = " << got[at] << ", chain gives "
+              << want[at];
+        };
+        std::vector<float> c = seed;
+        avx2.smatmul_rows(a.data(), b.data(), c.data(), k, m, 0, rows);
+        expect_same(c, "smatmul_rows");
+        // Threaded callers hand the kernel arbitrary row ranges.
+        c = seed;
+        const std::size_t split = rows / 3;
+        avx2.smatmul_rows(a.data(), b.data(), c.data(), k, m, 0, split);
+        avx2.smatmul_rows(a.data(), b.data(), c.data(), k, m, split, rows);
+        expect_same(c, "smatmul_rows split");
+        c = seed;
+        avx2.smatmul_panel(a.data(), b.data(), c.data(), rows, k, m);
+        expect_same(c, "smatmul_panel");
+      }
+    }
   }
 }
 
