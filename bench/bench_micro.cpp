@@ -345,8 +345,15 @@ SweepGraph make_sweep_graph(std::size_t n) {
 bench::MicroResult timed_row(const char* name, std::size_t n, double density,
                              std::size_t threads,
                              const bench::TimingStats& stats) {
-  return {name,    n,        density,         stats.median_ns,
-          threads, stats.min_ns, stats.stddev_ns};
+  bench::MicroResult r;
+  r.name = name;
+  r.n = n;
+  r.density = density;
+  r.ns_per_op = stats.median_ns;
+  r.threads = threads;
+  r.min_ns = stats.min_ns;
+  r.stddev_ns = stats.stddev_ns;
+  return r;
 }
 
 // Record one counter row: ns_per_op carries a deterministic program fact

@@ -175,8 +175,9 @@ int main() {
       }
     });
   }
+  bool published = false;  // the canary may quarantine the candidate
   std::thread retrainer([&] {
-    server.publish(std::make_shared<core::InferenceEngine>(model));
+    published = server.publish(std::make_shared<core::InferenceEngine>(model));
   });
   for (auto& t : clients) t.join();
   retrainer.join();
@@ -194,7 +195,7 @@ int main() {
                         static_cast<double>(st.engine_calls)
                   : 0.0);
   std::printf("  coalesced requests   %zu\n", st.coalesced_requests);
-  std::printf("  snapshot swaps       %zu (published mid-traffic)\n",
-              st.snapshot_swaps);
+  std::printf("  snapshot swaps       %zu (mid-traffic publish %s)\n",
+              st.snapshot_swaps, published ? "applied" : "quarantined");
   return 0;
 }

@@ -61,6 +61,14 @@ class InferenceEngine {
   InferenceEngine(const RihgcnModel& model, Options options);
   explicit InferenceEngine(const RihgcnModel& model)
       : InferenceEngine(model, Options{}) {}
+  /// Sub-graph compilation (one ShardedEngine shard): same frozen weights as
+  /// `model`, but the graph ops come from `sub_laps` — every Laplacian in
+  /// CSR form, rows and columns restricted to one cluster's owned ∪ halo
+  /// nodes (RihgcnModel::make_clusters) — over `sub_n` nodes. Windows fed
+  /// to predict_batch must then be sub_n x F; the caller gathers the
+  /// cluster's rows. A null `sub_laps` compiles the full graph.
+  InferenceEngine(const RihgcnModel& model, Options options,
+                  const HgcnBlock::SparseLaps* sub_laps, std::size_t sub_n);
   virtual ~InferenceEngine() = default;
 
   /// Preallocated scratch for one in-flight forward. Not thread-safe:
@@ -126,18 +134,6 @@ class InferenceEngine {
   }
 
  private:
-  /// ShardedEngine (core/sharded_engine.hpp) compiles one sub-engine per
-  /// graph cluster through the private sub-graph constructor below.
-  friend class ShardedEngine;
-
-  /// Sub-graph compilation: same frozen weights as `model`, but the graph
-  /// ops come from `sub_laps` (every Laplacian in CSR form, rows and columns
-  /// restricted to one cluster's owned ∪ halo nodes) over `sub_n` nodes.
-  /// Windows fed to predict_batch must then be sub_n x F — the caller
-  /// (ShardedEngine) gathers the cluster's rows.
-  InferenceEngine(const RihgcnModel& model, Options options,
-                  const HgcnBlock::SparseLaps* sub_laps, std::size_t sub_n);
-
   /// One graph's Laplacian, compiled into whichever apply form is cheapest
   /// (chosen once, per graph, at compile time):
   ///   * CSR SpMM (plus the block-diagonal batched form) for genuinely

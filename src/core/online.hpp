@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 #include "core/model.hpp"
 #include "core/robust.hpp"
@@ -60,7 +59,7 @@ class OnlineForecaster {
   /// consecutive observed readings is flagged stuck and its readings are
   /// demoted to missing until the value moves again. 0 disables detection.
   void set_stuck_threshold(std::size_t readings) noexcept {
-    stuck_detector_.set_threshold(readings);
+    buffer_.detector().set_threshold(readings);
     memo_valid_ = false;  // future demotions aside, keep semantics simple
   }
 
@@ -92,12 +91,14 @@ class OnlineForecaster {
   /// model cannot impute.
   [[nodiscard]] std::vector<Matrix> completed_history();
 
-  [[nodiscard]] std::size_t readings_seen() const noexcept { return seen_; }
+  [[nodiscard]] std::size_t readings_seen() const noexcept {
+    return buffer_.seen();
+  }
   /// Fraction of entries in the current buffer that are real observations.
   [[nodiscard]] double buffer_coverage() const;
   /// Time-of-day slot the NEXT reading will be stamped with.
   [[nodiscard]] std::size_t next_slot() const noexcept {
-    return (start_slot_ + seen_) % steps_per_day_;
+    return buffer_.next_slot();
   }
 
  private:
@@ -115,16 +116,12 @@ class OnlineForecaster {
   std::size_t num_features_;
   std::size_t lookback_;
   std::size_t horizon_;
-  std::size_t steps_per_day_;
-  std::size_t start_slot_;
-  std::size_t seen_ = 0;
-  std::deque<Matrix> values_;  // normalized, observed-masked
-  std::deque<Matrix> masks_;
 
   // ---- Robustness state ----------------------------------------------------
-  // Sanitization, stuck detection and scrubbing are the SHARED primitives of
-  // core/robust.{hpp,cpp} — serve::ForecastServer degrades identically.
-  StuckSensorDetector stuck_detector_;
+  // The reading buffer, sanitization, stuck detection and scrubbing are the
+  // SHARED primitives of core/robust.{hpp,cpp} — serve::ForecastServer
+  // degrades identically.
+  ReadingBuffer buffer_;
   std::size_t sanitized_entries_ = 0;
   std::size_t coerced_mask_entries_ = 0;
   std::size_t stuck_demotions_ = 0;

@@ -388,7 +388,11 @@ Var RihgcnModel::training_loss(Tape& tape, const data::Window& w) {
 void RihgcnModel::prepare_clusters(std::size_t num_clusters,
                                    std::uint64_t seed) {
   clusters_.clear();
-  if (num_clusters <= 1) return;
+  if (num_clusters > 1) clusters_ = make_clusters(num_clusters, seed);
+}
+
+std::vector<RihgcnModel::ClusterSpec> RihgcnModel::make_clusters(
+    std::size_t num_clusters, std::uint64_t seed) const {
   // The SPATIAL adjacency drives the partition; the temporal graphs share
   // the node set, and their edges leaving owned ∪ halo are cut — the
   // Cluster-GCN approximation (DESIGN.md §13). The halo is the spatial
@@ -425,7 +429,8 @@ void RihgcnModel::prepare_clusters(std::size_t num_clusters,
     }
   }
 
-  clusters_.reserve(clustering.num_clusters());
+  std::vector<ClusterSpec> clusters;
+  clusters.reserve(clustering.num_clusters());
   for (std::size_t c = 0; c < clustering.num_clusters(); ++c) {
     const std::vector<std::size_t>& owned = clustering.owned[c];
     const std::vector<std::size_t>& halo = clustering.halo[c];
@@ -447,8 +452,9 @@ void RihgcnModel::prepare_clusters(std::size_t num_clusters,
     for (std::size_t m = 0; m < num_t; ++m) {
       spec.laps.temporal.emplace_back(temporal_full[m].submatrix(spec.nodes));
     }
-    clusters_.push_back(std::move(spec));
+    clusters.push_back(std::move(spec));
   }
+  return clusters;
 }
 
 Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,

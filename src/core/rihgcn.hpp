@@ -136,10 +136,6 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   /// f32 snapshot of this model — it reads the module tree and the sparse
   /// Laplacian cache directly at compile time, never mutating anything.
   friend class InferenceEngine;
-  /// ShardedEngine (core/sharded_engine.hpp) replicates the
-  /// prepare_clusters() sub-Laplacian recipe at serve-compile time — it
-  /// reads graphs_, sparse_laps_ and config_ the same read-only way.
-  friend class ShardedEngine;
   RihgcnModel(const HeterogeneousGraphs& graphs, std::size_t num_nodes,
               std::size_t num_features, const RihgcnConfig& config);
 
@@ -152,10 +148,26 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   [[nodiscard]] Matrix predict(const data::Window& w) override;
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
+  // ---- Cluster-GCN decomposition (DESIGN.md §13) ---------------------------
+  /// One cluster's sub-graph.
+  struct ClusterSpec {
+    std::vector<std::size_t> nodes;  ///< owned ∪ halo, ascending
+    std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
+    std::size_t num_owned = 0;
+    HgcnBlock::SparseLaps laps;      ///< sub-Laplacians, every graph in CSR
+  };
+  /// The one Cluster-GCN recipe, behind both partitioned training
+  /// (prepare_clusters) and the sharded inference engine: partition the
+  /// spatial graph into `num_clusters` clusters (seeded BFS; >= 1) and cut
+  /// each cluster's sub-Laplacians (owned ∪ 1-hop halo rows and columns of
+  /// every scaled Laplacian, in CSR form). One cluster owns every node with
+  /// an empty halo.
+  [[nodiscard]] std::vector<ClusterSpec> make_clusters(
+      std::size_t num_clusters, std::uint64_t seed) const;
+
   // ---- ClusterTrainable (partitioned training, DESIGN.md §13) -------------
-  /// Partition the spatial graph into `num_clusters` clusters (seeded BFS)
-  /// and precompute each cluster's sub-Laplacians (owned ∪ 1-hop halo rows
-  /// and columns of every scaled Laplacian, extracted in CSR form).
+  /// make_clusters(num_clusters, seed) kept for training; num_clusters <= 1
+  /// clears the decomposition.
   void prepare_clusters(std::size_t num_clusters, std::uint64_t seed) override;
   [[nodiscard]] std::size_t num_clusters() const override {
     return clusters_.size();
@@ -191,14 +203,6 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   [[nodiscard]] DirectionResult run_direction(
       ad::Tape& tape, const data::Window& w, bool reverse,
       const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps* sparse);
-
-  /// One cluster's precomputed sub-graph (prepare_clusters).
-  struct ClusterSpec {
-    std::vector<std::size_t> nodes;  ///< owned ∪ halo, ascending
-    std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
-    std::size_t num_owned = 0;
-    HgcnBlock::SparseLaps laps;      ///< sub-Laplacians, every graph in CSR
-  };
 
   /// Shared forward body. `sparse_override` non-null swaps in a cluster's
   /// sub-Laplacians; `owned_row` non-null zero-weights halo rows in the

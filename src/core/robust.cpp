@@ -1,5 +1,6 @@
 #include "core/robust.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -184,6 +185,56 @@ std::size_t StuckSensorDetector::observe_and_demote(Matrix& values,
     }
   }
   return demoted;
+}
+
+ReadingBuffer::ReadingBuffer(std::size_t num_nodes, std::size_t num_features,
+                             std::size_t lookback, std::size_t steps_per_day,
+                             std::size_t start_slot,
+                             std::size_t stuck_threshold)
+    : num_nodes_(num_nodes),
+      num_features_(num_features),
+      lookback_(lookback),
+      steps_per_day_(steps_per_day),
+      start_slot_(start_slot % std::max<std::size_t>(1, steps_per_day)),
+      detector_(num_nodes, stuck_threshold) {}
+
+std::size_t ReadingBuffer::push(Matrix values, Matrix mask) {
+  // Normalization is affine and injective, so run-length equality on
+  // normalized values matches the original-unit stuck semantics.
+  const std::size_t demoted = detector_.observe_and_demote(values, mask);
+  values_.push_back(std::move(values));
+  masks_.push_back(std::move(mask));
+  if (values_.size() > lookback_) {
+    values_.pop_front();
+    masks_.pop_front();
+  }
+  ++seen_;
+  return demoted;
+}
+
+data::Window ReadingBuffer::window(std::size_t horizon) const {
+  data::Window w;
+  const std::size_t pad = lookback_ - values_.size();
+  // The padded window starts `lookback` slots before the next reading.
+  w.slot = (next_slot() + steps_per_day_ * lookback_ - lookback_) %
+           steps_per_day_;
+  w.start = 0;
+  for (std::size_t k = 0; k < pad; ++k) {
+    w.x_obs.emplace_back(num_nodes_, num_features_);
+    w.x_mask.emplace_back(num_nodes_, num_features_);
+    w.x_truth.emplace_back(num_nodes_, num_features_);
+  }
+  for (std::size_t k = 0; k < values_.size(); ++k) {
+    w.x_obs.push_back(values_[k]);
+    w.x_mask.push_back(masks_[k]);
+    w.x_truth.push_back(values_[k]);
+  }
+  // Models only read y/y_mask in training_loss.
+  for (std::size_t k = 0; k < horizon; ++k) {
+    w.y.emplace_back(num_nodes_, 1);
+    w.y_mask.emplace_back(num_nodes_, 1);
+  }
+  return w;
 }
 
 std::vector<std::size_t> find_suspect_sensors(

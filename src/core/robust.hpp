@@ -21,7 +21,8 @@
 //    the single-tenant OnlineForecaster and the multi-client
 //    serve::ForecastServer apply identical ingest sanitization, identical
 //    stuck-sensor demotion and identical non-finite output scrubbing, so a
-//    reading degrades the same way no matter which front end saw it.
+//    reading degrades the same way no matter which front end saw it — and
+//    one ReadingBuffer, so both build the same model window from a stream.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +31,7 @@
 
 #include "autodiff/tape.hpp"
 #include "data/dataset.hpp"
+#include "data/windows.hpp"
 #include "nn/optim.hpp"
 
 namespace rihgcn::core {
@@ -186,6 +188,52 @@ class StuckSensorDetector {
   std::vector<double> last_value_;        ///< per node, target feature
   std::vector<std::size_t> repeat_runs_;  ///< consecutive identical readings
   std::vector<bool> stuck_;               ///< currently flagged stuck
+};
+
+/// One stream's rolling buffer of its last `lookback` sanitized, normalized
+/// readings, shared by both serving layers (an OnlineForecaster, each
+/// ForecastServer stream): push() demotes stuck sensors, appends and evicts;
+/// window() builds the model input. Sanitizing, counters and the
+/// degradation policy stay with each front end.
+class ReadingBuffer {
+ public:
+  /// `start_slot` is the time-of-day slot of the first reading;
+  /// `stuck_threshold` arms the StuckSensorDetector (0 disables).
+  ReadingBuffer(std::size_t num_nodes, std::size_t num_features,
+                std::size_t lookback, std::size_t steps_per_day,
+                std::size_t start_slot, std::size_t stuck_threshold);
+
+  /// Append one sanitized reading (normalized values, {0,1} mask) after
+  /// stuck-sensor demotion, evicting the oldest beyond `lookback`. Returns
+  /// the readings demoted.
+  std::size_t push(Matrix values, Matrix mask);
+
+  /// The model window: `lookback` steps, the warm-up left-padded with
+  /// fully-missing steps (the imputation machinery fills them), x_truth
+  /// mirroring x_obs and `horizon` empty targets — both unknown online.
+  [[nodiscard]] data::Window window(std::size_t horizon) const;
+
+  [[nodiscard]] std::size_t seen() const noexcept { return seen_; }
+  /// Time-of-day slot the NEXT reading will be stamped with.
+  [[nodiscard]] std::size_t next_slot() const noexcept {
+    return (start_slot_ + seen_) % steps_per_day_;
+  }
+  /// Buffered masks, oldest first (at most `lookback`).
+  [[nodiscard]] const std::deque<Matrix>& masks() const noexcept {
+    return masks_;
+  }
+  [[nodiscard]] StuckSensorDetector& detector() noexcept { return detector_; }
+  [[nodiscard]] const StuckSensorDetector& detector() const noexcept {
+    return detector_;
+  }
+
+ private:
+  std::size_t num_nodes_ = 0, num_features_ = 0, lookback_ = 0;
+  std::size_t steps_per_day_ = 1, start_slot_ = 0;
+  std::size_t seen_ = 0;
+  std::deque<Matrix> values_;  ///< normalized, observed-masked
+  std::deque<Matrix> masks_;
+  StuckSensorDetector detector_;
 };
 
 /// Suspect-sensor roll-up shared by the health surfaces: nodes currently

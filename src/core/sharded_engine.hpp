@@ -4,11 +4,11 @@
 // WITHIN kernels (Options::num_threads row-sharding); at city scale a single
 // window is itself the bottleneck — one N=16384 forecast is one long chain
 // of full-graph GEMM/SpMM calls. ShardedEngine carries the PR-6 Cluster-GCN
-// decomposition into the compiled f32 path: it partitions the spatial graph
-// with graph::ClusterPartitioner (the exact prepare_clusters() recipe — same
-// seeded BFS, same owned ∪ halo node sets, same CsrMatrix::submatrix
-// sub-Laplacian extraction) and compiles one private InferenceEngine per
-// cluster over that cluster's sub-graph. A predict() then
+// decomposition into the compiled f32 path: it takes the clusters of
+// RihgcnModel::make_clusters (the one recipe partitioned training uses too —
+// seeded BFS, owned ∪ halo node sets, CsrMatrix::submatrix sub-Laplacians)
+// and compiles one private InferenceEngine per cluster over that cluster's
+// sub-graph through the public sub-graph constructor. A predict() then
 //
 //   1. gathers each shard's rows of the query window's inputs (x_obs and
 //      x_mask, into a per-shard buffer reused across calls),
@@ -55,10 +55,6 @@ class ShardedEngine {
     /// them serially on the caller's thread — same bits, the parity
     /// baseline the tests pin.
     bool parallel = true;
-    /// Forwarded to each sub-engine (InferenceEngine::Options::num_threads).
-    /// Only reachable in serial mode — parallel shard bodies already run
-    /// inside a parallel region, where nested kernels stay serial.
-    std::size_t num_threads = 0;
   };
 
   /// Compiles one frozen sub-engine per cluster; like InferenceEngine, the
@@ -80,9 +76,8 @@ class ShardedEngine {
 
  private:
   struct Shard {
-    std::vector<std::size_t> nodes;         ///< owned ∪ halo, ascending
-    std::vector<std::size_t> owned_local;   ///< local row of each owned node
-    std::vector<std::size_t> owned_global;  ///< global id of each owned node
+    std::vector<std::size_t> nodes;  ///< owned ∪ halo, ascending
+    std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
     std::unique_ptr<InferenceEngine> engine;
     InferenceEngine::Workspace ws;
     data::Window input;  ///< this shard's rows of the query's x_obs/x_mask

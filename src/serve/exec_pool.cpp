@@ -1,9 +1,6 @@
 #include "serve/exec_pool.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace rihgcn::serve {
@@ -59,31 +56,6 @@ void ExecPool::worker_loop(Worker& w) {
     }
     task();
   }
-}
-
-std::size_t serve_workers_from_env(std::size_t fallback) {
-  const char* env = std::getenv("RIHGCN_SERVE_WORKERS");
-  if (env == nullptr || *env == '\0') return fallback;
-  // Digits only: strtoul would silently accept leading whitespace and signs
-  // (" 2", "+2"), and a typo'd worker count must fail loudly instead.
-  bool digits_only = true;
-  for (const char* p = env; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      digits_only = false;
-      break;
-    }
-  }
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(env, &endp, 10);
-  if (!digits_only || endp == env || *endp != '\0' || errno == ERANGE ||
-      v > 1024) {
-    throw std::runtime_error(
-        std::string(
-            "RIHGCN_SERVE_WORKERS must be an integer in [0, 1024], got '") +
-        env + "'");
-  }
-  return static_cast<std::size_t>(v);
 }
 
 }  // namespace rihgcn::serve

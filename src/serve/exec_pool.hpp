@@ -1,15 +1,16 @@
 // Engine execution worker pool (DESIGN.md §16).
 //
-// ForecastServer's event loop is admission-only once ServeConfig::num_workers
-// is set: a flush SPLITS the admitted batch into per-worker sub-batches and
-// posts each to a dedicated ExecPool worker, which runs predict_batch against
-// its own private InferenceEngine::Workspace over the shared immutable
-// compiled plan, then posts the completed chunk back to the loop. The split
-// is a fixed function of (batch size, worker count) — chunk w runs on worker
-// w mod K, every chunk is dispatched in admission order into a per-worker
-// FIFO — so execution is deterministic and, because every engine op is row-
-// or block-local, the per-window outputs are bitwise identical to the inline
-// single-threaded flush for ANY worker count.
+// ForecastServer has one flush path. With ServeConfig::num_workers == 0, and
+// for the final drain flush, the loop thread executes it; otherwise the
+// event loop is admission-only: a flush SPLITS the admitted batch into
+// per-worker chunks and posts each to a dedicated ExecPool worker, which
+// runs predict_batch against its own private InferenceEngine::Workspace over
+// the shared immutable compiled plan, then posts the completed chunk back to
+// the loop. The split is a fixed function of (batch size, worker count) —
+// chunk w runs on worker w mod K, every chunk is dispatched in admission
+// order into a per-worker FIFO — so execution is deterministic and, because
+// every engine op is row- or block-local, the per-window outputs are
+// bitwise identical to the loop-thread flush for ANY worker count.
 //
 // ExecPool is deliberately not ThreadPool: the tensor ThreadPool is a
 // synchronous fork-join primitive (parallel_for blocks the caller), while
@@ -36,7 +37,8 @@ class ExecPool {
   using Task = std::function<void()>;
 
   /// Spawns `workers` threads (must be >= 1; throws std::invalid_argument
-  /// on 0 — callers wanting inline execution simply don't build a pool).
+  /// on 0 — callers executing on their own thread simply don't build a
+  /// pool).
   explicit ExecPool(std::size_t workers);
   /// Joins every worker. Tasks already submitted run to completion first —
   /// the serving drain sequence guarantees the pool is idle by the time the
@@ -63,14 +65,5 @@ class ExecPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };
-
-/// ServeConfig::num_workers from the RIHGCN_SERVE_WORKERS environment
-/// variable. Unset or empty returns `fallback` (the config value); a
-/// set-but-invalid value (non-numeric, trailing junk, > 1024) throws
-/// std::runtime_error — the RIHGCN_THREADS contract (DESIGN.md §8): a typo'd
-/// worker count must fail loudly, not silently serve single-threaded. 0 is
-/// VALID here and means inline loop-thread execution (unlike RIHGCN_THREADS,
-/// where a 0-thread pool is meaningless).
-[[nodiscard]] std::size_t serve_workers_from_env(std::size_t fallback);
 
 }  // namespace rihgcn::serve

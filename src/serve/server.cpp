@@ -24,9 +24,6 @@ ForecastServer::ForecastServer(std::shared_ptr<core::InferenceEngine> engine,
                                            engine->max_batch());
   cfg_.max_queue = std::max<std::size_t>(1, cfg_.max_queue);
   cfg_.breaker_threshold = std::max<std::size_t>(1, cfg_.breaker_threshold);
-  // Environment override for the execution layer; set-but-invalid throws
-  // (the RIHGCN_THREADS contract — a typo must not silently serve inline).
-  cfg_.num_workers = serve_workers_from_env(cfg_.num_workers);
   if (cfg_.num_workers > 0) {
     exec_pool_ = std::make_unique<ExecPool>(cfg_.num_workers);
   }
@@ -36,15 +33,20 @@ ForecastServer::ForecastServer(std::shared_ptr<core::InferenceEngine> engine,
   const double mean = normalizer_.denormalize(0.0, 0);
   std::fill(mean_forecast_.data(), mean_forecast_.data() + mean_forecast_.size(),
             mean);
+  // Loop not running yet — plain write is safe.
+  snapshot_ = make_snapshot(std::move(engine));
+  loop_.start();
+}
+
+std::shared_ptr<ForecastServer::Snapshot> ForecastServer::make_snapshot(
+    std::shared_ptr<core::InferenceEngine> engine) const {
   auto snap = std::make_shared<Snapshot>();
-  snap->ws = engine->make_workspace();
-  snap->worker_ws.reserve(cfg_.num_workers);
-  for (std::size_t w = 0; w < cfg_.num_workers; ++w) {
-    snap->worker_ws.push_back(engine->make_workspace());
+  for (std::size_t w = 0; w < std::max<std::size_t>(1, cfg_.num_workers);
+       ++w) {
+    snap->ws.push_back(engine->make_workspace());
   }
   snap->engine = std::move(engine);
-  snapshot_ = std::move(snap);  // loop not running yet — plain write is safe
-  loop_.start();
+  return snap;
 }
 
 ForecastServer::~ForecastServer() { drain(); }
@@ -58,7 +60,7 @@ void ForecastServer::drain() {
     // and its workers post completions INTO the loop — stopping first would
     // orphan them (and their waiters). The loop fulfills the quiesce
     // promise only once loop_draining_ is set, the in-flight flush (if any)
-    // has settled, and the final inline flush has answered everything still
+    // has settled, and the final flush has answered everything still
     // admitted; only then is it safe to stop and join.
     auto quiesced = std::make_shared<std::promise<void>>();
     std::future<void> quiesce_done = quiesced->get_future();
@@ -96,10 +98,8 @@ std::size_t ForecastServer::add_stream(std::size_t start_slot) {
   auto claimed = std::make_shared<std::atomic<bool>>(false);
   std::future<std::size_t> id = done->get_future();
   loop_.post([this, start_slot, done, claimed] {
-    Stream s;
-    s.start_slot = start_slot % steps_per_day_;
-    s.detector = core::StuckSensorDetector(n_, cfg_.stuck_threshold);
-    streams_.push_back(std::move(s));
+    streams_.emplace_back(core::ReadingBuffer(
+        n_, f_, lookback_, steps_per_day_, start_slot, cfg_.stuck_threshold));
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
       reg_seen_.push_back(std::make_shared<std::atomic<std::uint64_t>>(0));
@@ -148,15 +148,8 @@ void ForecastServer::ingest(std::size_t stream, const Matrix& values,
   auto mp = std::make_shared<Matrix>(std::move(clean_mask));
   loop_.post([this, stream, vp, mp] {
     Stream& s = streams_[stream];
-    stuck_demotions_.fetch_add(s.detector.observe_and_demote(*vp, *mp),
+    stuck_demotions_.fetch_add(s.buffer.push(std::move(*vp), std::move(*mp)),
                                std::memory_order_relaxed);
-    s.values.push_back(std::move(*vp));
-    s.masks.push_back(std::move(*mp));
-    if (s.values.size() > lookback_) {
-      s.values.pop_front();
-      s.masks.pop_front();
-    }
-    ++s.seen;
     ++s.version;  // never coalesce across an ingest
   });
   // Bump the client-visible counter AFTER the post: a forecast issued after
@@ -323,7 +316,7 @@ void ForecastServer::enqueue_request(std::size_t stream,
     return;
   }
   const Stream& s = streams_[stream];
-  if (s.seen == 0) {
+  if (s.buffer.seen() == 0) {
     // Normally caught eagerly on the client thread; kept as a loop-side
     // belt-and-braces for racy ingest/forecast interleavings.
     if (w.settle->claim()) {
@@ -365,7 +358,7 @@ void ForecastServer::enqueue_request(std::size_t stream,
   Pending p;
   p.stream = stream;
   p.version = s.version;
-  p.window = make_window(s);
+  p.window = s.buffer.window(horizon_);
   attach_waiter(p, std::move(w));
   pending_.push_back(std::move(p));
   if (pending_.size() >= cfg_.max_batch) {
@@ -377,32 +370,6 @@ void ForecastServer::enqueue_request(std::size_t stream,
           flush();
         });
   }
-}
-
-data::Window ForecastServer::make_window(const Stream& s) const {
-  data::Window w;
-  // Warm-up: left-pad with fully-missing steps (the imputation machinery's
-  // job), exactly like OnlineForecaster::make_window.
-  const std::size_t pad = lookback_ - s.values.size();
-  w.slot = (s.start_slot + s.seen - s.values.size() +
-            steps_per_day_ * lookback_ - pad) %
-           steps_per_day_;
-  w.start = 0;
-  for (std::size_t k = 0; k < pad; ++k) {
-    w.x_obs.emplace_back(n_, f_);
-    w.x_mask.emplace_back(n_, f_);
-    w.x_truth.emplace_back(n_, f_);
-  }
-  for (std::size_t k = 0; k < s.values.size(); ++k) {
-    w.x_obs.push_back(s.values[k]);
-    w.x_mask.push_back(s.masks[k]);
-    w.x_truth.push_back(s.values[k]);
-  }
-  for (std::size_t k = 0; k < horizon_; ++k) {
-    w.y.emplace_back(n_, 1);
-    w.y_mask.emplace_back(n_, 1);
-  }
-  return w;
 }
 
 data::Window ForecastServer::make_probe_window() const {
@@ -497,178 +464,75 @@ void ForecastServer::flush() {
   // Expired requests fail fast, BEFORE any batch slot is assigned.
   fail_expired(EventLoop::Clock::now());
   if (pending_.empty()) return;
-  // The final drain flush always runs inline: drain() stops the loop right
-  // after the quiesce rendezvous, and an async dispatch would have nowhere
-  // to post its completions.
-  if (exec_pool_ == nullptr || loop_draining_) {
-    flush_inline();
-  } else {
-    dispatch_flush();
-  }
-}
-
-void ForecastServer::flush_inline() {
-  // The whole flush runs against ONE snapshot: a publish() racing us posts
-  // its swap behind this closure, so this batch finishes on the engine it
-  // started on and the swap lands before the next flush.
-  const std::shared_ptr<Snapshot> snap = snapshot_;
-  const std::size_t chunk = snap->engine->max_batch();
-  std::vector<Matrix> preds;  // per-window denormalized outputs of one chunk
-  for (std::size_t begin = 0; begin < pending_.size(); begin += chunk) {
-    const std::size_t count = std::min(chunk, pending_.size() - begin);
-    const EventLoop::Clock::time_point now = EventLoop::Clock::now();
-    // Circuit-breaker gate, evaluated per engine call: CLOSED serves
-    // through the engine, OPEN from fallback until the cooldown elapses,
-    // at which point ONE probe call goes through half-open.
-    bool engine_allowed = true;
-    if (breaker_ == BreakerState::kOpen) {
-      if (now >= breaker_retry_at_) {
-        set_breaker(BreakerState::kHalfOpen);
-        breaker_probes_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        engine_allowed = false;
-      }
-    }
-    if (!engine_allowed) {
-      for (std::size_t b = 0; b < count; ++b) {
-        fallback_respond(pending_[begin + b], nullptr);
-      }
-      continue;
-    }
-    batch_ptrs_.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-      batch_ptrs_.push_back(&pending_[begin + b].window);
-    }
-    bool call_ok = true;
-    bool call_threw = false;
-    try {
-      const FMatrix& out =
-          snap->engine->predict_batch(batch_ptrs_.data(), count, snap->ws);
-      batched_windows_.fetch_add(count, std::memory_order_relaxed);
-      preds.resize(count);
-      for (std::size_t b = 0; b < count; ++b) {
-        Matrix& pred = preds[b];
-        pred = Matrix(n_, horizon_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          for (std::size_t h = 0; h < horizon_; ++h) {
-            pred(i, h) = normalizer_.denormalize(
-                static_cast<double>(out(b * n_ + i, h)), 0);
-          }
-        }
-        // A poisoned row block degrades only its own window's waiters, but
-        // the call still counts as failed for the breaker.
-        if (pred.has_non_finite()) call_ok = false;
-      }
-    } catch (...) {
-      call_ok = false;
-      call_threw = true;
-    }
-    engine_calls_.fetch_add(1, std::memory_order_relaxed);
-    // Breaker bookkeeping BEFORE any waiter settles: a client that wakes on
-    // its future must observe the breaker state this call produced.
-    note_engine_result(call_ok, EventLoop::Clock::now());
-    if (call_threw) {
-      for (std::size_t b = 0; b < count; ++b) {
-        fallback_respond(pending_[begin + b], nullptr);
-      }
-      continue;
-    }
-    for (std::size_t b = 0; b < count; ++b) {
-      Pending& p = pending_[begin + b];
-      Matrix& pred = preds[b];
-      if (pred.has_non_finite()) {
-        fallback_respond(p, &pred);
-        continue;
-      }
-      streams_[p.stream].last_good = pred;
-      // Enqueue order across windows, attach order within one: the
-      // deterministic-ordering contract of the class comment.
-      for (Waiter& w : p.waiters) {
-        settle_with_value(w, pred, /*fallback=*/false);
-      }
-    }
-  }
-  pending_.clear();
-}
-
-void ForecastServer::dispatch_flush() {
   auto st = std::make_shared<FlushState>();
-  // One snapshot for the whole flush, exactly like the inline path: a
-  // racing publish() retargets snapshot_ for the NEXT flush; this one keeps
-  // the engine (and the per-worker workspaces) it started with alive via
-  // the shared_ptr.
+  // The whole flush runs against ONE snapshot: a racing publish() retargets
+  // snapshot_ for the NEXT flush; this one keeps the engine (and the
+  // workspaces) it started with alive via the shared_ptr.
   st->snap = snapshot_;
   st->entries = std::move(pending_);
   pending_.clear();
+  // The final drain flush runs on the loop thread: drain() stops the loop
+  // right after the quiesce rendezvous, so pooled completions would have
+  // nowhere to post.
+  const bool pooled = exec_pool_ != nullptr && !loop_draining_;
+  const std::size_t ways = pooled ? exec_pool_->size() : 1;
   const std::size_t total = st->entries.size();
-  const std::size_t workers = exec_pool_->size();
-  // Fixed deterministic split: ceil(total / K) windows per sub-batch,
-  // capped at the engine's max_batch; chunk c runs on worker c mod K. A
-  // pure function of (total, K, max_batch) — never of timing — and since
+  // Fixed deterministic split: ceil(total / ways) windows per chunk, capped
+  // at the engine's max_batch; chunk c runs on worker c mod ways. A pure
+  // function of (total, ways, max_batch) — never of timing — and since
   // every engine op is row-/block-local, per-window outputs are bitwise
-  // identical to the inline flush regardless of the split.
+  // identical however the batch is split.
   st->chunk_size = std::max<std::size_t>(
-      1, std::min(st->snap->engine->max_batch(),
-                  (total + workers - 1) / workers));
+      1, std::min(st->snap->engine->max_batch(), (total + ways - 1) / ways));
   const std::size_t nchunks = (total + st->chunk_size - 1) / st->chunk_size;
-  st->chunk_ptrs.resize(nchunks);
   st->results.resize(nchunks);
-  // Circuit-breaker gate per chunk, evaluated in admission order at
-  // dispatch time: OPEN bypasses the engine until the cooldown elapses, at
-  // which point exactly ONE half-open probe chunk goes through; the probe's
-  // outcome lands with the completions (note_engine_result in chunk order).
-  std::size_t dispatched = 0;
+  // Circuit-breaker gate for every chunk, in admission order, before any
+  // runs: OPEN bypasses the engine until the cooldown elapses, at which
+  // point the breaker goes half-open and the chunks from there on probe it;
+  // their outcomes land in settle_flush (note_engine_result in chunk order).
   const EventLoop::Clock::time_point now = EventLoop::Clock::now();
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    bool engine_allowed = true;
+  for (ChunkResult& r : st->results) {
     if (breaker_ == BreakerState::kOpen) {
-      if (now >= breaker_retry_at_) {
-        set_breaker(BreakerState::kHalfOpen);
-        breaker_probes_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        engine_allowed = false;
-      }
+      if (now < breaker_retry_at_) continue;  // r.executed stays false
+      set_breaker(BreakerState::kHalfOpen);
+      breaker_probes_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!engine_allowed) continue;  // results[c].executed stays false
-    st->results[c].executed = true;
-    const std::size_t begin = c * st->chunk_size;
-    const std::size_t count = std::min(st->chunk_size, total - begin);
-    std::vector<const data::Window*>& ptrs = st->chunk_ptrs[c];
-    ptrs.reserve(count);
-    for (std::size_t b = 0; b < count; ++b) {
-      ptrs.push_back(&st->entries[begin + b].window);
-    }
-    ++dispatched;
+    r.executed = true;
+    ++st->chunks_left;
   }
-  pooled_flushes_.fetch_add(1, std::memory_order_relaxed);
-  if (dispatched == 0) {
-    // Breaker OPEN gated every chunk — nothing leaves the loop thread.
-    finish_flush(st);
+  if (pooled) pooled_flushes_.fetch_add(1, std::memory_order_relaxed);
+  if (!pooled || st->chunks_left == 0) {
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      if (st->results[c].executed) run_chunk(*st, c, st->snap->ws[0]);
+    }
+    settle_flush(*st);
     return;
   }
-  st->chunks_left = dispatched;
   inflight_ = st;
   for (std::size_t c = 0; c < nchunks; ++c) {
     if (!st->results[c].executed) continue;
-    exec_pool_->submit(c % workers, [this, st, c] { run_chunk(st, c); });
+    exec_pool_->submit(c % ways, [this, st, c, ways] {
+      run_chunk(*st, c, st->snap->ws[c % ways]);
+      loop_.post([this, st] { on_chunk_done(st); });
+    });
   }
 }
 
-void ForecastServer::run_chunk(const std::shared_ptr<FlushState>& st,
-                               std::size_t chunk) {
-  // WORKER thread. Touches only this chunk's slots of the FlushState and
-  // this worker's private workspace; everything it reads (entries, snap) is
-  // frozen for the lifetime of the flush. The posted completion closure is
-  // what publishes the writes to the loop thread.
-  ChunkResult& r = st->results[chunk];
-  const std::vector<const data::Window*>& ptrs = st->chunk_ptrs[chunk];
-  const std::size_t count = ptrs.size();
-  core::InferenceEngine::Workspace& ws =
-      st->snap->worker_ws[chunk % exec_pool_->size()];
+void ForecastServer::run_chunk(FlushState& st, std::size_t chunk,
+                               core::InferenceEngine::Workspace& ws) const {
+  // On a worker this touches only this chunk's result and the worker's
+  // private workspace; everything it reads (entries, snap) is frozen for
+  // the lifetime of the flush.
+  const std::size_t begin = chunk * st.chunk_size;
+  const std::size_t count = std::min(st.chunk_size, st.entries.size() - begin);
+  std::vector<const data::Window*> ptrs(count);
+  for (std::size_t b = 0; b < count; ++b) {
+    ptrs[b] = &st.entries[begin + b].window;
+  }
+  ChunkResult& r = st.results[chunk];
   try {
-    const FMatrix& out =
-        st->snap->engine->predict_batch(ptrs.data(), count, ws);
-    bool ok = true;
+    const FMatrix& out = st.snap->engine->predict_batch(ptrs.data(), count, ws);
+    r.ok = true;
     r.preds.resize(count);
     for (std::size_t b = 0; b < count; ++b) {
       Matrix& pred = r.preds[b];
@@ -681,50 +545,49 @@ void ForecastServer::run_chunk(const std::shared_ptr<FlushState>& st,
       }
       // A poisoned row block degrades only its own window's waiters, but
       // the call still counts as failed for the breaker.
-      if (pred.has_non_finite()) ok = false;
+      if (pred.has_non_finite()) r.ok = false;
     }
-    r.ok = ok;
   } catch (...) {
     r.ok = false;
     r.threw = true;
   }
-  loop_.post([this, st] { on_chunk_done(st); });
 }
 
 void ForecastServer::on_chunk_done(const std::shared_ptr<FlushState>& st) {
   if (--st->chunks_left > 0) return;
-  finish_flush(st);
+  inflight_.reset();
+  settle_flush(*st);
+  // Pipelining: batch t+1 accumulated while batch t executed — flush it
+  // now. During drain maybe_finish_drain runs the final flush instead, so
+  // everything admitted still resolves before the loop stops.
+  if (!pending_.empty() && !loop_draining_) flush();
+  maybe_finish_drain();
 }
 
-void ForecastServer::finish_flush(const std::shared_ptr<FlushState>& st) {
-  inflight_.reset();
-  const std::size_t total = st->entries.size();
+void ForecastServer::settle_flush(FlushState& st) {
+  const std::size_t total = st.entries.size();
   // Chunk order IS admission order: breaker bookkeeping before the affected
-  // waiters settle, promises fulfilled in enqueue order, waiters in attach
-  // order — the same deterministic-ordering contract as the inline flush.
-  for (std::size_t c = 0; c * st->chunk_size < total; ++c) {
-    const std::size_t begin = c * st->chunk_size;
-    const std::size_t count = std::min(st->chunk_size, total - begin);
-    ChunkResult& r = st->results[c];
-    if (!r.executed) {
-      for (std::size_t b = 0; b < count; ++b) {
-        fallback_respond(st->entries[begin + b], nullptr);
+  // waiters settle (a client that wakes on its future must observe the
+  // breaker state its call produced), promises fulfilled in enqueue order,
+  // waiters in attach order — the deterministic-ordering contract of the
+  // class comment.
+  for (std::size_t c = 0; c < st.results.size(); ++c) {
+    const std::size_t begin = c * st.chunk_size;
+    const std::size_t count = std::min(st.chunk_size, total - begin);
+    ChunkResult& r = st.results[c];
+    if (r.executed) {
+      engine_calls_.fetch_add(1, std::memory_order_relaxed);
+      if (!r.threw) {
+        batched_windows_.fetch_add(count, std::memory_order_relaxed);
       }
-      continue;
-    }
-    engine_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (!r.threw) {
-      batched_windows_.fetch_add(count, std::memory_order_relaxed);
-    }
-    note_engine_result(r.ok, EventLoop::Clock::now());
-    if (r.threw) {
-      for (std::size_t b = 0; b < count; ++b) {
-        fallback_respond(st->entries[begin + b], nullptr);
-      }
-      continue;
+      note_engine_result(r.ok, EventLoop::Clock::now());
     }
     for (std::size_t b = 0; b < count; ++b) {
-      Pending& p = st->entries[begin + b];
+      Pending& p = st.entries[begin + b];
+      if (!r.executed || r.threw) {
+        fallback_respond(p, nullptr);
+        continue;
+      }
       Matrix& pred = r.preds[b];
       if (pred.has_non_finite()) {
         fallback_respond(p, &pred);
@@ -736,17 +599,12 @@ void ForecastServer::finish_flush(const std::shared_ptr<FlushState>& st) {
       }
     }
   }
-  // Pipelining: batch t+1 accumulated while batch t executed — flush it
-  // now. During drain maybe_finish_drain runs the final inline flush
-  // instead, so everything admitted still resolves before the loop stops.
-  if (!pending_.empty() && !loop_draining_) flush();
-  maybe_finish_drain();
 }
 
 void ForecastServer::maybe_finish_drain() {
   if (!loop_draining_ || drain_quiesce_ == nullptr) return;
   if (inflight_ != nullptr) return;  // its completion re-enters
-  flush();  // inline during drain: settles everything still admitted
+  flush();  // on the loop thread during drain: settles everything admitted
   drain_quiesce_->set_value();
   drain_quiesce_.reset();
 }
@@ -780,14 +638,7 @@ bool ForecastServer::publish(std::shared_ptr<core::InferenceEngine> engine) {
   // Build the new snapshot (workspace allocation included) on the CALLER's
   // thread; the loop only retargets one shared_ptr, so serving never stalls
   // on a publish however large the engine is.
-  auto snap = std::make_shared<Snapshot>();
-  snap->ws = engine->make_workspace();
-  snap->worker_ws.reserve(cfg_.num_workers);
-  for (std::size_t w = 0; w < cfg_.num_workers; ++w) {
-    snap->worker_ws.push_back(engine->make_workspace());
-  }
-  snap->engine = std::move(engine);
-  loop_.post([this, snap = std::move(snap)]() mutable {
+  loop_.post([this, snap = make_snapshot(std::move(engine))]() mutable {
     snapshot_ = std::move(snap);
     swaps_.fetch_add(1, std::memory_order_relaxed);
   });

@@ -46,14 +46,17 @@
 //     quarantines the candidate (counted in stats) and keeps the current
 //     snapshot serving.
 //
-// With ServeConfig::num_workers > 0 the parallel execution layer (DESIGN.md
-// §16) takes over flush execution: the admitted batch is split into fixed
-// deterministic per-worker sub-batches and run on an ExecPool (each worker a
-// private Workspace over the shared plan), completions post back to the
-// loop, and the loop keeps admitting batch t+1 while batch t executes — the
-// pipelined flush. Breaker bookkeeping and settlement still happen on the
-// loop thread in admission order, so per-window outputs are bitwise
-// identical to inline execution and the §15 failure accounting is exact.
+// There is one flush path (DESIGN.md §16): a flush splits the admitted
+// batch into fixed deterministic chunks, gates every chunk through the
+// breaker in admission order before any runs, executes the admitted chunks
+// and settles them in chunk order. The loop thread executes them itself when
+// ServeConfig::num_workers == 0 and for the final drain flush; otherwise an
+// ExecPool does (each worker a private Workspace over the shared plan),
+// completions post back to the loop, and the loop keeps admitting batch t+1
+// while batch t executes — the pipelined flush. Breaker bookkeeping and
+// settlement always happen on the loop thread in admission order, so
+// per-window outputs are bitwise identical at every worker count and the
+// §15 failure accounting is exact.
 //
 // Every request resolves to a typed outcome: a finite Matrix or a
 // serve::ServeError via set_exception — never a broken promise, including
@@ -133,16 +136,13 @@ struct ServeConfig {
   /// ServeError{ENGINE_FAILURE} instead — for deployments that prefer a
   /// typed error over a stale number.
   bool degraded_serving = true;
-  /// Parallel execution layer (DESIGN.md §16). 0 = flushes execute inline
-  /// on the loop thread (the §14/§15 behaviour). K >= 1 = a K-worker
-  /// ExecPool executes each flush: the admitted batch is split into fixed
-  /// deterministic sub-batches (chunk w on worker w mod K, each worker
-  /// running against its own private Workspace over the shared plan), and
-  /// while the workers execute batch t the loop keeps admitting and
-  /// coalescing batch t+1 — the pipelined flush. Per-window outputs are
-  /// bitwise identical to inline execution for any K. Overridden at
-  /// construction by RIHGCN_SERVE_WORKERS when set (set-but-invalid throws,
-  /// the RIHGCN_THREADS contract).
+  /// Parallel execution layer (DESIGN.md §16). 0 = the loop thread
+  /// executes every flush itself. K >= 1 = a K-worker ExecPool executes
+  /// each flush: the admitted batch is split into ceil(total / K)-window
+  /// chunks (chunk c on worker c mod K, each worker running against its own
+  /// private Workspace over the shared plan), and while the workers execute
+  /// batch t the loop keeps admitting and coalescing batch t+1 — the
+  /// pipelined flush. Per-window outputs are bitwise identical for any K.
   std::size_t num_workers = 0;
 };
 
@@ -247,30 +247,23 @@ class ForecastServer {
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_features() const noexcept { return f_; }
   [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
-  /// Resolved worker count (config after the RIHGCN_SERVE_WORKERS
-  /// override); 0 = inline flush execution.
+  /// ExecPool worker count; 0 = the loop thread executes every flush.
   [[nodiscard]] std::size_t num_workers() const noexcept {
     return cfg_.num_workers;
   }
 
  private:
-  /// An engine plus its private scratch. `ws` backs the inline flush path
-  /// and is touched only by the loop thread; worker_ws[w] (sized
-  /// num_workers) is touched only by ExecPool worker w — one workspace per
-  /// executing thread over the one shared immutable plan.
+  /// An engine plus one private workspace per executing thread over the
+  /// one shared immutable plan: ws[w] for ExecPool worker w, ws[0] for the
+  /// loop thread, whose flushes never overlap a chunk in flight.
   struct Snapshot {
     std::shared_ptr<core::InferenceEngine> engine;
-    core::InferenceEngine::Workspace ws;
-    std::vector<core::InferenceEngine::Workspace> worker_ws;
+    std::vector<core::InferenceEngine::Workspace> ws;
   };
-  /// Per-stream rolling buffer of normalized readings (loop thread only).
+  /// Per-stream state (loop thread only).
   struct Stream {
-    std::size_t start_slot = 0;
-    std::size_t seen = 0;
-    std::uint64_t version = 0;  ///< bumped per ingest; the coalescing key
-    std::deque<Matrix> values;  ///< normalized, observed-masked
-    std::deque<Matrix> masks;
-    core::StuckSensorDetector detector;  ///< shared OnlineForecaster semantics
+    core::ReadingBuffer buffer;  ///< shared OnlineForecaster semantics
+    std::uint64_t version = 0;   ///< bumped per ingest; the coalescing key
     Matrix last_good;  ///< last finite engine forecast (original units)
   };
   /// A promise that can be raced for by the loop thread and the
@@ -300,28 +293,26 @@ class ForecastServer {
     data::Window window;
     std::vector<Waiter> waiters;
   };
-  /// One sub-batch of a dispatched flush, filled in by its worker. Distinct
-  /// chunks are written by distinct workers; the loop reads them only after
-  /// the final completion lands, so no field needs synchronization beyond
-  /// the loop post itself.
+  /// One chunk of a flush, filled in by whichever thread executes it.
+  /// Distinct chunks are written by distinct threads; the loop reads them
+  /// only after the last one has run (a pooled chunk's completion post is
+  /// the synchronization).
   struct ChunkResult {
     bool executed = false;  ///< breaker gate let this chunk reach the engine
     bool ok = false;        ///< call returned finite output
     bool threw = false;
     std::vector<Matrix> preds;  ///< denormalized, one per window of the chunk
   };
-  /// One in-flight pooled flush (DESIGN.md §16): the entries moved out of
-  /// the admission queue, the snapshot they execute against, and the
-  /// per-chunk results. The admission queue keeps filling (batch t+1) while
-  /// this executes; results are processed in chunk order — i.e. admission
-  /// order — once every chunk has posted back.
+  /// One flush (DESIGN.md §16): the entries moved out of the admission
+  /// queue, the snapshot they execute against, and the per-chunk results,
+  /// settled in chunk order — i.e. admission order. While a pooled flush
+  /// executes the admission queue keeps filling (batch t+1).
   struct FlushState {
     std::shared_ptr<Snapshot> snap;
     std::vector<Pending> entries;
     std::size_t chunk_size = 0;
-    std::vector<std::vector<const data::Window*>> chunk_ptrs;
     std::vector<ChunkResult> results;
-    std::size_t chunks_left = 0;  ///< loop thread only
+    std::size_t chunks_left = 0;  ///< gated-in chunks not yet done (loop only)
   };
 
   // Loop-thread internals.
@@ -345,29 +336,29 @@ class ForecastServer {
     breaker_ = s;
     breaker_state_.store(static_cast<int>(s), std::memory_order_release);
   }
-  /// Flush entry point: no-op while a pooled flush is in flight (its
-  /// completion re-flushes); otherwise executes inline (num_workers == 0,
-  /// or during drain) or dispatches to the ExecPool.
+  /// The one flush: no-op while a pooled flush is in flight (its
+  /// completion re-flushes); otherwise chunks pending_, gates every chunk
+  /// through the breaker, and executes the admitted chunks on the loop
+  /// thread (num_workers == 0, the final drain flush, or nothing admitted)
+  /// or on the ExecPool.
   void flush();
-  /// The §14/§15 stop-the-world flush: chunked predict_batch on the loop
-  /// thread, breaker bookkeeping and settlement interleaved per chunk.
-  void flush_inline();
-  /// Split pending_ into per-worker sub-batches and submit them (§16).
-  void dispatch_flush();
-  /// Worker-side execution of one chunk: predict_batch on the worker's
-  /// private workspace, denormalize, record, post completion to the loop.
-  void run_chunk(const std::shared_ptr<FlushState>& st, std::size_t chunk);
-  /// Loop-side completion: counts down the in-flight chunks, delegating to
-  /// finish_flush when the last one lands.
+  /// Execute one chunk on the calling thread (loop or worker): predict_batch
+  /// on `ws`, denormalize, record into st.results[chunk].
+  void run_chunk(FlushState& st, std::size_t chunk,
+                 core::InferenceEngine::Workspace& ws) const;
+  /// Pooled completion: counts down the in-flight chunks; once the last
+  /// lands, settles the flush, flushes batch t+1 if the admission queue
+  /// refilled meanwhile, and re-enters the drain rendezvous.
   void on_chunk_done(const std::shared_ptr<FlushState>& st);
-  /// Breaker bookkeeping and settlement for a completed pooled flush, in
-  /// chunk (= admission) order, then flush batch t+1 if the admission queue
-  /// refilled while batch t executed.
-  void finish_flush(const std::shared_ptr<FlushState>& st);
+  /// Breaker bookkeeping and settlement of an executed flush, in chunk
+  /// (= admission) order.
+  void settle_flush(FlushState& st);
   /// Drain rendezvous: once loop_draining_ is set and no flush is in
-  /// flight, run the final inline flush and release the drain() caller.
+  /// flight, run the final flush and release the drain() caller.
   void maybe_finish_drain();
-  [[nodiscard]] data::Window make_window(const Stream& s) const;
+  /// A snapshot of `engine` with one workspace per executing thread.
+  [[nodiscard]] std::shared_ptr<Snapshot> make_snapshot(
+      std::shared_ptr<core::InferenceEngine> engine) const;
   /// Deterministic synthetic window for the publish canary: normalized-mean
   /// values under a half-observed checkerboard mask.
   [[nodiscard]] data::Window make_probe_window() const;
@@ -383,8 +374,7 @@ class ForecastServer {
   std::shared_ptr<Snapshot> snapshot_;  ///< swapped only via posted closures
   std::deque<Stream> streams_;
   std::vector<Pending> pending_;
-  std::vector<const data::Window*> batch_ptrs_;  ///< reused flush scratch
-  std::uint64_t flush_timer_ = 0;                ///< 0 = not armed
+  std::uint64_t flush_timer_ = 0;  ///< 0 = not armed
   std::uint64_t next_waiter_seq_ = 1;
   BreakerState breaker_ = BreakerState::kClosed;
   std::size_t consecutive_engine_failures_ = 0;
@@ -392,7 +382,7 @@ class ForecastServer {
   bool loop_draining_ = false;  ///< set by drain's final closure
   std::shared_ptr<FlushState> inflight_;  ///< pooled flush in execution
   /// Fulfilled by the loop once loop_draining_ is set and the last in-flight
-  /// flush (plus the final inline flush) has settled — the rendezvous that
+  /// flush (plus the final flush) has settled — the rendezvous that
   /// lets drain() stop the loop without orphaning worker completions.
   std::shared_ptr<std::promise<void>> drain_quiesce_;
 

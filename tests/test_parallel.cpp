@@ -106,19 +106,19 @@ TEST(ThreadPool, ThreadsFromEnvRejectsInvalidValues) {
   // back to hardware concurrency ("RIHGCN_THREADS=O4" hiding as auto-size).
   {
     EnvVarGuard env("RIHGCN_THREADS", "0");
-    EXPECT_THROW(ThreadPool::threads_from_env(), std::runtime_error);
+    EXPECT_THROW((void)ThreadPool::threads_from_env(), std::runtime_error);
   }
   {
     EnvVarGuard env("RIHGCN_THREADS", "not-a-number");
-    EXPECT_THROW(ThreadPool::threads_from_env(), std::runtime_error);
+    EXPECT_THROW((void)ThreadPool::threads_from_env(), std::runtime_error);
   }
   {
     EnvVarGuard env("RIHGCN_THREADS", "4x");  // trailing garbage
-    EXPECT_THROW(ThreadPool::threads_from_env(), std::runtime_error);
+    EXPECT_THROW((void)ThreadPool::threads_from_env(), std::runtime_error);
   }
   {
     EnvVarGuard env("RIHGCN_THREADS", "99999");  // above the 1024 cap
-    EXPECT_THROW(ThreadPool::threads_from_env(), std::runtime_error);
+    EXPECT_THROW((void)ThreadPool::threads_from_env(), std::runtime_error);
   }
   {
     // Unset (and empty) still auto-size to hardware concurrency.

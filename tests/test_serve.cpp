@@ -24,10 +24,11 @@
 //  * ServePublish.*    — canary-gated publish quarantines a poisoned
 //    candidate without perturbing the serving snapshot.
 //  * ExecPool.*        — the §16 engine worker pool: per-worker FIFO order,
-//    drain-on-destruction, strict RIHGCN_SERVE_WORKERS env parsing.
+//    drain-on-destruction.
 //  * ServePool.*       — pooled flush execution: bitwise parity with the
-//    inline flush at K = 1/2/4 (under coalescing and mid-flight publish),
-//    breaker choreography through the dispatch gate, drain with a flush in
+//    loop-thread flush at K = 1/2/4 (under coalescing and mid-flight
+//    publish), breaker choreography through the flush gate, one gate rule
+//    for a multi-chunk flush at every worker count, drain with a flush in
 //    flight, and the TSan-covered worker/publisher/drain storm with exact
 //    counter accounting.
 #include <gtest/gtest.h>
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <optional>
@@ -961,60 +961,6 @@ TEST(ExecPool, DrainsSubmittedTasksOnDestruction) {
   EXPECT_EQ(ran.load(), 60);
 }
 
-/// Saves and restores RIHGCN_SERVE_WORKERS around env-parsing tests.
-class WorkersEnvGuard {
- public:
-  WorkersEnvGuard() {
-    const char* v = std::getenv("RIHGCN_SERVE_WORKERS");
-    if (v != nullptr) saved_ = v;
-  }
-  ~WorkersEnvGuard() {
-    if (saved_.has_value()) {
-      setenv("RIHGCN_SERVE_WORKERS", saved_->c_str(), 1);
-    } else {
-      unsetenv("RIHGCN_SERVE_WORKERS");
-    }
-  }
-  WorkersEnvGuard(const WorkersEnvGuard&) = delete;
-  WorkersEnvGuard& operator=(const WorkersEnvGuard&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
-
-TEST(ExecPool, EnvOverrideParsesStrictly) {
-  WorkersEnvGuard guard;
-  unsetenv("RIHGCN_SERVE_WORKERS");
-  EXPECT_EQ(serve::serve_workers_from_env(5), 5u);  // unset → fallback
-  setenv("RIHGCN_SERVE_WORKERS", "", 1);
-  EXPECT_EQ(serve::serve_workers_from_env(5), 5u);  // empty → fallback
-  setenv("RIHGCN_SERVE_WORKERS", "3", 1);
-  EXPECT_EQ(serve::serve_workers_from_env(5), 3u);
-  setenv("RIHGCN_SERVE_WORKERS", "0", 1);
-  EXPECT_EQ(serve::serve_workers_from_env(5), 0u);  // 0 is VALID: inline
-  // Set-but-invalid throws — the RIHGCN_THREADS contract: a typo'd worker
-  // count must fail loudly, never silently serve single-threaded.
-  for (const char* bad : {"abc", "4x", "-1", " 2", "1e3", "99999"}) {
-    setenv("RIHGCN_SERVE_WORKERS", bad, 1);
-    EXPECT_THROW((void)serve::serve_workers_from_env(5), std::runtime_error)
-        << "value '" << bad << "'";
-  }
-}
-
-TEST(ExecPool, InvalidEnvFailsServerConstruction) {
-  WorkersEnvGuard guard;
-  ServeFixture s = make_fixture();
-  auto engine = std::make_shared<core::InferenceEngine>(*s.model);
-  setenv("RIHGCN_SERVE_WORKERS", "not-a-number", 1);
-  EXPECT_THROW(
-      serve::ForecastServer(engine, *s.normalizer, serve::ServeConfig{}),
-      std::runtime_error);
-  // And a valid override wins over the config value.
-  setenv("RIHGCN_SERVE_WORKERS", "2", 1);
-  serve::ForecastServer server(engine, *s.normalizer, serve::ServeConfig{});
-  EXPECT_EQ(server.num_workers(), 2u);
-}
-
 // ---- pooled flush execution (DESIGN.md §16) --------------------------------
 
 /// Ingests 4 streams, then runs 3 query rounds — each round issues a
@@ -1126,6 +1072,50 @@ TEST(ServePool, BreakerOpensServesFallbackAndProbesUnderPool) {
   EXPECT_EQ(st.breaker_probes, 1u);
   EXPECT_EQ(st.breaker_closes, 1u);
   EXPECT_GT(st.pooled_flushes, 0u);
+}
+
+TEST(ServePool, MultiChunkFlushGatesEveryChunkBeforeAnyRuns) {
+  // A published engine with max_batch = 1 splits one 4-window flush into
+  // four one-window chunks. Every chunk passes the breaker gate before any
+  // runs, so the two forced throws open the breaker without gating the
+  // later chunks: 4 engine calls, 2 fallbacks — on the loop thread and on
+  // the pool alike. (One worker keeps the forced throws on chunks 0 and 1;
+  // with two, they land on whichever chunks run first.)
+  ServeFixture s = make_fixture();
+  std::vector<std::vector<Matrix>> outs;
+  for (std::size_t workers : {std::size_t{0}, std::size_t{1}}) {
+    serve::ServeConfig cfg;
+    cfg.max_batch = 4;
+    cfg.max_delay_us = 60'000'000;  // flush at max_batch only
+    cfg.breaker_threshold = 2;
+    cfg.breaker_cooldown_us = 60'000'000;
+    cfg.num_workers = workers;
+    serve::ForecastServer server(
+        std::make_shared<core::InferenceEngine>(*s.model), *s.normalizer,
+        cfg);
+    core::InferenceEngine::Options one;
+    one.max_batch = 1;
+    auto engine = std::make_shared<serve::FaultyEngine>(
+        *s.model, one, serve::FaultyEngine::FaultConfig{});
+    ASSERT_TRUE(server.publish(engine));
+    std::vector<std::size_t> ids;
+    for (std::size_t k = 0; k < 4; ++k) {
+      ids.push_back(server.add_stream(k));
+      auto [values, mask] = reading_at(s, 5 * k);
+      server.ingest(ids[k], values, mask);
+    }
+    engine->force_throw_next(2);
+    std::vector<std::future<Matrix>> futs;
+    for (std::size_t id : ids) futs.push_back(server.forecast_async(id));
+    outs.emplace_back();
+    for (auto& f : futs) outs.back().push_back(f.get());
+    const serve::ServerStats st = server.stats();
+    EXPECT_EQ(st.engine_calls, 4u) << "workers=" << workers;
+    EXPECT_EQ(st.engine_failures, 2u) << "workers=" << workers;
+    EXPECT_EQ(st.breaker_opens, 1u) << "workers=" << workers;
+    EXPECT_EQ(st.fallback_responses, 2u) << "workers=" << workers;
+  }
+  EXPECT_EQ(outs[0], outs[1]);
 }
 
 TEST(ServePool, DrainSettlesInFlightPooledFlush) {
