@@ -590,6 +590,39 @@ void run_dtw_graph_sweep(const bench::BenchOptions& opts,
   ThreadPool::set_global_threads(0);
 }
 
+// Geographic k-NN at city scale (DESIGN.md §13): graph::knn_from_coords on
+// a jittered 128 x 128 sensor grid (0.5 km pitch, ±0.2 km jitter), the
+// layout of perfbench's city_backfill, k = 8. Informational rows: they show
+// the sorted sweep's cost next to the DTW scans above.
+void run_knn_coords_sweep(const bench::BenchOptions& opts,
+                          std::vector<bench::MicroResult>& results) {
+  constexpr std::size_t kSide = 128;
+  constexpr std::size_t kN = kSide * kSide;
+  constexpr std::size_t kK = 8;
+  Rng rng(opts.seed + 5);
+  Matrix coords(kN, 2);
+  for (std::size_t i = 0; i < kN; ++i) {
+    coords(i, 0) = 0.5 * static_cast<double>(i % kSide) + rng.uniform(-0.2, 0.2);
+    coords(i, 1) = 0.5 * static_cast<double>(i / kSide) + rng.uniform(-0.2, 0.2);
+  }
+  std::printf("\nCoordinate k-NN, jittered %zux%zu grid, k=%zu\n", kSide, kSide,
+              kK);
+  std::printf("%-18s %6s %8s %14s\n", "path", "N", "threads", "ns/op");
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    const bench::TimingStats stats = bench::measure_ns_per_op([&] {
+      const ts::NeighborList knn = graph::knn_from_coords(coords, kK);
+      benchmark::DoNotOptimize(knn.idx.data());
+    });
+    bench::MicroResult row = timed_row("knn_coords", kN, 1.0, threads, stats);
+    row.informational = true;
+    results.push_back(row);
+    std::printf("%-18s %6zu %8zu %14.0f\n", "knn_coords", kN, threads,
+                stats.median_ns);
+  }
+  ThreadPool::set_global_threads(0);
+}
+
 // End-to-end view: one RIHGCN train step (forward + backward) with the
 // sparse backend on vs off and the fused recurrent cells on vs off, same
 // parameters and data. The step runs on a hoisted arena tape (reset() per
@@ -745,6 +778,7 @@ int main(int argc, char** argv) {
   run_simd_sweep(opts, results);
   run_engine_kernel_sweep(opts, results);
   run_dtw_graph_sweep(opts, results);
+  run_knn_coords_sweep(opts, results);
   run_train_step_compare(opts, results);
   if (!opts.json_path.empty()) {
     rihgcn::bench::write_micro_json(opts.json_path, results);

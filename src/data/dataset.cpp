@@ -46,9 +46,15 @@ void TrafficDataset::validate() const {
   if (coords.rows() != n && coords.rows() != 0) {
     throw std::invalid_argument("TrafficDataset: coords row count mismatch");
   }
+  if (coords.has_non_finite()) {
+    throw std::invalid_argument("TrafficDataset: non-finite coords");
+  }
   if (geo_distances.rows() != geo_distances.cols() ||
       (geo_distances.rows() != n && geo_distances.rows() != 0)) {
     throw std::invalid_argument("TrafficDataset: geo_distances shape");
+  }
+  if (geo_distances.has_non_finite()) {
+    throw std::invalid_argument("TrafficDataset: non-finite geo_distances");
   }
   if (steps_per_day == 0) {
     throw std::invalid_argument("TrafficDataset: steps_per_day == 0");

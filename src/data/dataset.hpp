@@ -51,7 +51,8 @@ struct TrafficDataset {
     return t % steps_per_day;
   }
 
-  /// Throws std::invalid_argument if shapes are inconsistent.
+  /// Throws std::invalid_argument if shapes are inconsistent, a mask entry
+  /// is not 0/1, or truth, coords or geo_distances hold a non-finite value.
   void validate() const;
 };
 

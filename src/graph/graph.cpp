@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -221,6 +222,7 @@ ts::NeighborList knn_from_distances(const Matrix& distances, std::size_t k) {
   if (k == 0) {
     throw std::invalid_argument("knn_from_distances: k must be > 0");
   }
+  ts::require_finite_rows(distances, "knn_from_distances");
   const std::size_t kk = n == 0 ? 0 : std::min(k, n - 1);
   ts::NeighborList out = make_neighbor_list(n, kk);
   if (kk == 0) return out;
@@ -248,18 +250,39 @@ ts::NeighborList knn_from_coords(const Matrix& coords, std::size_t k) {
   if (k == 0) {
     throw std::invalid_argument("knn_from_coords: k must be > 0");
   }
+  ts::require_finite_rows(coords, "knn_from_coords");
   const std::size_t kk = n == 0 ? 0 : std::min(k, n - 1);
   ts::NeighborList out = make_neighbor_list(n, kk);
   if (kk == 0) return out;
   const double* base = coords.data();
+  // Nodes sorted once by (first coordinate, index), a total order; xs[p]
+  // is the first coordinate of node order[p] (0 for all when dim == 0).
+  const auto x = [&](std::size_t i) { return dim > 0 ? base[i * dim] : 0.0; };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return x(a) < x(b) || (x(a) == x(b) && a < b);
+  });
+  std::vector<double> xs(n);
+  for (std::size_t p = 0; p < n; ++p) xs[p] = x(order[p]);
   ThreadPool::global().parallel_for(
       0, n, kKnnRowGrain, [&](std::size_t b, std::size_t e) {
         ts::TopKNeighbors best(kk);
-        for (std::size_t i = b; i < e; ++i) {
+        for (std::size_t p = b; p < e; ++p) {
+          const std::size_t i = order[p];
           const double* ci = base + i * dim;
           best.clear();
-          for (std::size_t j = 0; j < n; ++j) {
-            if (j == i) continue;
+          // Offers the node at sorted position q; false once the sweep in
+          // that direction can stop. The first-coordinate term is the first
+          // addend of the squared distance below, and the sum of squares
+          // only grows as terms are added, so sqrt(dx·dx) never exceeds the
+          // distance; dx·dx only grows along a sweep, so once sqrt(dx·dx)
+          // is strictly above the k-th distance no node beyond can be
+          // admitted, whatever its index.
+          const auto visit = [&](std::size_t q) {
+            const double dx = xs[q] - xs[p];
+            if (std::sqrt(dx * dx) > best.cutoff()) return false;
+            const std::size_t j = order[q];
             const double* cj = base + j * dim;
             // Same per-dimension accumulation order as pairwise_euclidean;
             // (-x)·(-x) == x·x exactly, so both directions match bitwise.
@@ -269,6 +292,11 @@ ts::NeighborList knn_from_coords(const Matrix& coords, std::size_t k) {
               s += diff * diff;
             }
             best.offer(std::sqrt(s), j);
+            return true;
+          };
+          for (std::size_t q = p + 1; q < n && visit(q); ++q) {
+          }
+          for (std::size_t q = p; q-- > 0 && visit(q);) {
           }
           for (std::size_t r = 0; r < best.size(); ++r) {
             out.idx[i * kk + r] = best.items()[r].idx;

@@ -98,13 +98,18 @@ struct AdjacencyOptions {
 
 /// Row-wise k-NN sparsification of a dense symmetric distance matrix
 /// (diagonal excluded). k is clamped to N-1. Sharded over the global
-/// ThreadPool; results are thread-count independent.
+/// ThreadPool; results are thread-count independent. Throws
+/// std::invalid_argument on a row holding a non-finite distance.
 [[nodiscard]] ts::NeighborList knn_from_distances(const Matrix& distances,
                                                   std::size_t k);
 
 /// k-NN over Euclidean distances between rows of `coords` (N x dim) without
 /// materializing the N x N distance matrix. Bitwise equal to
-/// knn_from_distances(pairwise_euclidean(coords), k).
+/// knn_from_distances(pairwise_euclidean(coords), k). Nodes are sorted once
+/// by their first coordinate; each row sweeps outward from its own place
+/// and stops a direction once the first-coordinate gap alone puts every
+/// further node strictly beyond the k-th distance. Throws
+/// std::invalid_argument on a non-finite coordinate row.
 [[nodiscard]] ts::NeighborList knn_from_coords(const Matrix& coords,
                                                std::size_t k);
 

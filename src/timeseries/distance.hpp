@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -62,12 +63,19 @@ enum class SeriesDistance { kDtw, kErp, kLcss };
 //
 // Determinism/parity contract: knn_series_graph with prune on and off
 // returns BITWISE-identical neighbour lists (indices and distances) at any
-// thread count. Pruning only ever skips candidates whose lower bound is
-// >= the running k-th best distance — candidates the exact selection loop
-// would reject anyway — and surviving candidates run through the very same
-// dtw_impl arithmetic as dtw(), so kept distances carry identical bits.
+// thread count. The selection (TopKNeighbors) keeps the k smallest
+// (distance, index) pairs whatever order candidates arrive in, so the
+// pruned scan may visit them in any order; it only ever skips a candidate
+// whose lower bound already loses to the running k-th pair — one the
+// selection would reject anyway — and surviving candidates run through the
+// very same DTW kernel as dtw(), so kept distances carry identical bits.
 // Rows are sharded over the global ThreadPool with a fixed grain; each row's
 // result depends only on that row's scan, never on scheduling.
+//
+// Every k-NN builder (this one and graph::knn_from_distances /
+// knn_from_coords) rejects non-finite input rows with std::invalid_argument:
+// a NaN row would otherwise keep its zero-initialized slots — k copies of
+// neighbour 0 at distance 0 — and a NaN sort key breaks the sorted scans.
 
 /// LB_Kim (first/last-point bound): every warping path aligns the two first
 /// elements and the two last elements, so
@@ -91,8 +99,8 @@ struct KeoghEnvelope {
 [[nodiscard]] double lb_keogh(std::span<const double> a,
                               const KeoghEnvelope& env_b);
 
-/// DTW with row-wise early abandoning: identical arithmetic to dtw(), but
-/// after each DP row, if every reachable cell already costs >= `cutoff` the
+/// DTW with row-wise early abandoning: the same kernel as dtw(), but after
+/// each DP row, if every reachable cell already costs >= `cutoff` the
 /// search is abandoned (every complete path must pass through each row and
 /// local costs are nonnegative, so the true distance is >= cutoff too) and
 /// +inf is returned. A finite return value is bitwise equal to dtw(a, b,
@@ -109,22 +117,31 @@ struct Neighbor {
 
 /// The row-sparsify selection rule shared by every k-NN graph builder —
 /// spatial (graph::knn_from_distances / knn_from_coords) and temporal
-/// (knn_series_graph): keep the k smallest (distance, index) pairs while
-/// scanning candidate indices ASCENDING. A candidate is admitted only when
-/// its distance is STRICTLY below the current k-th best, so an equal
-/// distance at a later index always loses the tie. That strictness is what
-/// makes lower-bound pruning sound: skipping any candidate whose lower bound
-/// is >= cutoff() can never change the selected set.
+/// (knn_series_graph): keep the k smallest (distance, index) pairs, ordered
+/// lexicographically, in ANY visit order. A candidate (d, j) is admitted
+/// only when it is lexicographically below the current k-th pair, so an
+/// equal distance loses to the smaller index whichever arrives first; for
+/// an ascending scan that is exactly "strictly below the k-th distance".
+/// Infinite and NaN distances are never admitted. Lower-bound pruning is
+/// sound because a candidate whose bound is >= cutoff_for(j) cannot be
+/// admitted now, and the k-th pair only ever moves down.
 class TopKNeighbors {
  public:
   explicit TopKNeighbors(std::size_t k) : k_(k) { items_.reserve(k + 1); }
 
-  /// Admission threshold: +inf until k candidates are held, then the k-th
-  /// smallest distance seen. Any candidate whose distance (or any lower
-  /// bound on it) is >= this value cannot enter the selection.
-  [[nodiscard]] double cutoff() const noexcept;
-  /// Offer candidate (d, j); call with j strictly ascending. Returns true
-  /// if the candidate was admitted (d < cutoff()).
+  /// +inf until k candidates are held, then the k-th smallest distance.
+  /// A candidate whose distance (or any lower bound on it) is STRICTLY
+  /// above this value cannot enter the selection, whatever its index.
+  [[nodiscard]] double cutoff() const noexcept { return kth_dist_; }
+  /// Rejection threshold for candidate j: its distance, or any lower bound
+  /// on it, >= this value means it cannot be admitted. That is the k-th
+  /// distance for j above the k-th pair's index, and the next double above
+  /// it for j below (an equal distance at a smaller index still wins).
+  [[nodiscard]] double cutoff_for(std::size_t j) const noexcept {
+    return j < kth_idx_ ? kth_dist_above_ : kth_dist_;
+  }
+  /// Offer candidate (d, j); each j at most once per row, in any order.
+  /// Returns true if the candidate was admitted (d < cutoff_for(j)).
   bool offer(double d, std::size_t j);
 
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
@@ -133,11 +150,19 @@ class TopKNeighbors {
     return items_;
   }
   /// Reset for the next row (capacity is kept).
-  void clear() noexcept { items_.clear(); }
+  void clear() noexcept;
 
  private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
   std::size_t k_;
   std::vector<Neighbor> items_;
+  // The k-th pair, cached on every admission so the per-candidate tests
+  // stay two loads: its distance, the next double above, and its index
+  // (0 while fewer than k are held, so cutoff_for() is +inf then).
+  double kth_dist_ = kInf;
+  double kth_dist_above_ = kInf;
+  std::size_t kth_idx_ = 0;
 };
 
 /// Per-row k-nearest-neighbour lists over the rows of a series matrix.
@@ -162,11 +187,14 @@ struct KnnOptions {
 
 /// Work counters for tests and benches (summed atomically; exact counts are
 /// thread-count independent because each candidate pair is classified by a
-/// deterministic per-row scan).
+/// deterministic per-row scan). Every ordered pair falls in exactly one
+/// class: pairs == lb_kim_pruned + lb_keogh_pruned + dtw_started.
 struct KnnStats {
-  std::size_t pairs = 0;            ///< candidate pairs considered
-  std::size_t lb_kim_pruned = 0;    ///< rejected by LB_Kim
-  std::size_t lb_keogh_pruned = 0;  ///< rejected by LB_Keogh
+  std::size_t pairs = 0;            ///< candidate pairs: N·(N−1)
+  /// Rejected by LB_Kim, including the candidates the pruned scan's sorted
+  /// sweep never reaches (a lower bound on their LB_Kim exceeds the cutoff).
+  std::size_t lb_kim_pruned = 0;
+  std::size_t lb_keogh_pruned = 0;  ///< rejected by LB_Keogh (either way)
   std::size_t dtw_started = 0;      ///< exact DPs entered
   std::size_t dtw_abandoned = 0;    ///< exact DPs abandoned early
 };
@@ -175,8 +203,18 @@ struct KnnStats {
 /// (N x T), sharded over the global ThreadPool. See the contract above:
 /// results are bitwise identical for prune on/off and any thread count, and
 /// no N x N matrix is ever materialized (peak extra memory is O(N·(k + T))).
+/// prune = false is the reference: every candidate, ascending, full DTW.
+/// prune = true scans each row as DESIGN.md §13 describes — seeded with its
+/// nearest candidates in a (first value, last value) sort, then swept
+/// outward until LB_Kim alone rules out the rest, with LB_Kim and two-way
+/// LB_Keogh computed a block of candidates at a time ahead of an
+/// early-abandoned DTW. Throws std::invalid_argument on a non-finite row.
 [[nodiscard]] NeighborList knn_series_graph(const Matrix& series,
                                             const KnnOptions& opts = {},
                                             KnnStats* stats = nullptr);
+
+/// Throws std::invalid_argument naming `who` and the first row of `m` that
+/// holds a NaN or an infinity. The input check shared by every k-NN builder.
+void require_finite_rows(const Matrix& m, const char* who);
 
 }  // namespace rihgcn::ts

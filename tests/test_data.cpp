@@ -195,6 +195,21 @@ TEST(Dataset, ValidateCatchesNonFinite) {
   EXPECT_THROW(ds.validate(), std::invalid_argument);
 }
 
+TEST(Dataset, ValidateCatchesNonFiniteCoordsAndDistances) {
+  // Programmatic datasets reach the graph builders through validate() alone
+  // (load_dataset checks its own input), so it must vet the geometry too.
+  TrafficDataset ds = generate_pems_like(small_pems());
+  ASSERT_GT(ds.coords.rows(), 2u);
+  ASSERT_GT(ds.geo_distances.rows(), 2u);
+  ds.validate();
+  TrafficDataset bad_coords = ds;
+  bad_coords.coords(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(bad_coords.validate(), std::invalid_argument);
+  TrafficDataset bad_dist = ds;
+  bad_dist.geo_distances(1, 2) = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(bad_dist.validate(), std::invalid_argument);
+}
+
 TEST(Dataset, ObservedZeroesMissingEntries) {
   TrafficDataset ds = generate_pems_like(small_pems());
   ds.mask[0](0, 0) = 0.0;

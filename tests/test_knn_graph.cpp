@@ -1,11 +1,17 @@
 // The city-scale k-NN graph pipeline (DESIGN.md §13):
 //
-//  * DTW lower bounds really lower-bound DTW (LB_Kim, LB_Keogh) and
+//  * The shared DTW kernel is bitwise equal to a textbook full-matrix DP,
+//    DTW lower bounds really lower-bound DTW (LB_Kim, LB_Keogh) and
 //    early-abandoned DTW is exact when it completes.
 //  * knn_series_graph with pruning on is BITWISE identical to the exact
-//    full scan, at 1 and 4 threads, and actually prunes work.
+//    full scan, at 1 and 4 threads, and actually prunes work; exact ties
+//    go to the smaller index whatever order the pruned scan visits in, and
+//    its work counters partition every candidate pair.
 //  * The spatial k-NN builders (knn_from_distances / knn_from_coords) agree
-//    bitwise with each other and with the temporal scan on shared inputs.
+//    bitwise with each other and with the temporal scan on shared inputs,
+//    ties included.
+//  * Every k-NN builder rejects non-finite rows instead of filling them
+//    with neighbour 0 at distance 0.
 //  * The CSR Laplacian pipeline (gaussian_knn_adjacency →
 //    normalized_laplacian_csr → largest_eigenvalue → scaled_laplacian_csr)
 //    is bitwise equal to the dense pipeline + from_dense on the same
@@ -15,10 +21,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/csr.hpp"
@@ -69,6 +80,62 @@ Matrix clustered_series(std::size_t n, std::size_t len, std::uint64_t seed) {
 
 std::span<const double> row_span(const Matrix& m, std::size_t r) {
   return {m.data() + r * m.cols(), m.cols()};
+}
+
+// ---- The shared DTW kernel ----------------------------------------------
+
+// Textbook (n+1) x (m+1) DTW: D[0][0] = 0, the rest of row/column 0 is +inf,
+// and an in-band cell (i, j) — |j − i·m/n| <= band, as dtw() documents —
+// is min(up, left, diagonal) + |a_i − b_j|; every other cell is +inf.
+double full_matrix_dtw(std::span<const double> a, std::span<const double> b,
+                       std::ptrdiff_t band) {
+  const std::size_t n = a.size(), m = b.size();
+  std::vector<std::vector<double>> d(n + 1, std::vector<double>(m + 1, kInf));
+  d[0][0] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto center = static_cast<std::ptrdiff_t>(i * m / n);
+    for (std::size_t j = 0; j < m; ++j) {
+      if (band >= 0 && std::abs(static_cast<std::ptrdiff_t>(j) - center) > band) {
+        continue;
+      }
+      d[i + 1][j + 1] = std::min({d[i][j + 1], d[i + 1][j], d[i][j]}) +
+                        std::abs(a[i] - b[j]);
+    }
+  }
+  return d[n][m];
+}
+
+TEST(DtwBounds, KernelMatchesFullMatrixDp) {
+  Rng rng(10);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t n = 1; n <= 48; ++n) {
+    shapes.emplace_back(n, n);          // equal lengths, every size
+    shapes.emplace_back(n, n % 7 + 1);  // unequal, both ways round
+    shapes.emplace_back(n / 3 + 1, n);
+  }
+  std::size_t finite = 0, infeasible = 0;
+  for (const auto& [n, m] : shapes) {
+    const Matrix x = rng.normal_matrix(2, std::max(n, m), 1.0);
+    const std::span<const double> a(x.data(), n);
+    const std::span<const double> b(x.data() + x.cols(), m);
+    const auto wide = static_cast<std::ptrdiff_t>(std::max(n, m));
+    for (const std::ptrdiff_t band :
+         {std::ptrdiff_t{-1}, std::ptrdiff_t{0}, std::ptrdiff_t{1},
+          std::ptrdiff_t{3}, wide}) {
+      const double want = full_matrix_dtw(a, b, band);
+      (want == kInf ? infeasible : finite) += 1;
+      EXPECT_EQ(ts::dtw(a, b, band), want)
+          << "n " << n << " m " << m << " band " << band;
+      EXPECT_EQ(ts::dtw_early_abandoned(a, b, band, kInf), want);
+      if (want == kInf) continue;
+      EXPECT_EQ(ts::dtw_early_abandoned(a, b, band, want * 2.0 + 1.0), want);
+      const double tight = ts::dtw_early_abandoned(a, b, band, want * 0.5);
+      EXPECT_TRUE(tight == kInf || tight == want);
+    }
+  }
+  // Both outcomes occur: narrow bands make some unequal lengths infeasible.
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 // ---- Lower bounds ---------------------------------------------------------
@@ -176,6 +243,142 @@ TEST(KnnSeriesGraph, MatchesDenseDistanceMatrixPath) {
   EXPECT_EQ(direct.dist, via_dense.dist);
 }
 
+
+// Series whose rows come in groups of exact copies, so many DTW distances
+// tie exactly: row r copies base row r % bases.
+Matrix duplicated_series(std::size_t bases, std::size_t copies,
+                         std::size_t len, std::uint64_t seed) {
+  const Matrix base = clustered_series(bases, len, seed);
+  Matrix s(bases * copies, len);
+  for (std::size_t r = 0; r < s.rows(); ++r) {
+    for (std::size_t t = 0; t < len; ++t) s(r, t) = base(r % bases, t);
+  }
+  return s;
+}
+
+// Reference selection written out: every (dtw, j) pair of row i, sorted
+// lexicographically, first k kept.
+ts::NeighborList brute_force_knn(const Matrix& s, std::size_t k,
+                                 std::ptrdiff_t band) {
+  ts::NeighborList out;
+  out.num_nodes = s.rows();
+  out.k = k;
+  for (std::size_t i = 0; i <= s.rows(); ++i) out.offsets.push_back(i * k);
+  for (std::size_t i = 0; i < s.rows(); ++i) {
+    std::vector<std::pair<double, std::size_t>> all;
+    for (std::size_t j = 0; j < s.rows(); ++j) {
+      if (j != i) all.emplace_back(ts::dtw(row_span(s, i), row_span(s, j), band), j);
+    }
+    std::sort(all.begin(), all.end());
+    for (std::size_t r = 0; r < k; ++r) {
+      out.dist.push_back(all[r].first);
+      out.idx.push_back(all[r].second);
+    }
+  }
+  return out;
+}
+
+TEST(KnnSeriesGraph, TiesBreakTowardSmallerIndex) {
+  // 130 bases x 4 copies = 520 rows: more than one strip of the pruned
+  // scan's sorted order, and every row has 3 copies at distance 0 plus
+  // groups of 4 equal distances beyond, so k = 6 cuts through a tie group.
+  const Matrix s = duplicated_series(130, 4, 8, 24);
+  const std::size_t k = 6;
+  const std::ptrdiff_t band = 2;
+  const ts::NeighborList want = brute_force_knn(s, k, band);
+  // The copies really cut through the selection: for most rows, a row left
+  // out sits at exactly the k-th distance.
+  std::size_t boundary_ties = 0;
+  for (std::size_t i = 0; i < s.rows(); ++i) {
+    const auto kept = std::span<const std::size_t>(want.idx).subspan(i * k, k);
+    for (std::size_t j = 0; j < s.rows(); ++j) {
+      if (j != i && std::find(kept.begin(), kept.end(), j) == kept.end() &&
+          ts::dtw(row_span(s, i), row_span(s, j), band) ==
+              want.dist[i * k + k - 1]) {
+        ++boundary_ties;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(boundary_ties, s.rows() / 2);
+  for (const bool prune : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      BackendGuard guard(threads);
+      ts::KnnOptions opts;
+      opts.k = k;
+      opts.band = band;
+      opts.prune = prune;
+      const ts::NeighborList got = ts::knn_series_graph(s, opts);
+      EXPECT_EQ(got.offsets, want.offsets);
+      EXPECT_EQ(got.idx, want.idx) << "prune " << prune << " threads " << threads;
+      EXPECT_EQ(got.dist, want.dist);
+    }
+  }
+}
+
+TEST(KnnSeriesGraph, StatsPartitionEveryPair) {
+  // 600 rows span three strips of the pruned scan; 5 rows with k = 5 clamp
+  // k to N − 1, so every candidate is kept. Lengths 1 and 2 have no
+  // interior points for LB_Keogh, length 7 does; band 0 makes the envelope
+  // the series itself, band −1 the whole-series min/max.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{600}}) {
+    for (const std::size_t len :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+      const Matrix s = clustered_series(n, len, 25 + len);
+      for (const std::ptrdiff_t band :
+           {std::ptrdiff_t{-1}, std::ptrdiff_t{0}, std::ptrdiff_t{1}}) {
+        ts::KnnOptions opts;
+        opts.k = 5;
+        opts.band = band;
+        opts.prune = false;
+        ts::KnnStats exact_st;
+        const ts::NeighborList exact = ts::knn_series_graph(s, opts, &exact_st);
+        EXPECT_EQ(exact_st.pairs, n * (n - 1));
+        EXPECT_EQ(exact_st.dtw_started, exact_st.pairs);
+        EXPECT_EQ(exact_st.lb_kim_pruned + exact_st.lb_keogh_pruned, 0u);
+        EXPECT_EQ(exact_st.dtw_abandoned, 0u);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          BackendGuard guard(threads);
+          opts.prune = true;
+          ts::KnnStats st;
+          const ts::NeighborList pruned = ts::knn_series_graph(s, opts, &st);
+          EXPECT_EQ(st.pairs, n * (n - 1))
+              << "n " << n << " len " << len << " band " << band;
+          EXPECT_EQ(st.lb_kim_pruned + st.lb_keogh_pruned + st.dtw_started,
+                    st.pairs);
+          EXPECT_LE(st.dtw_abandoned, st.dtw_started);
+          if (n > opts.k + 1) {  // pruning has room to work
+            EXPECT_LT(st.dtw_started, st.pairs / 4);
+            if (len > 2) {
+              EXPECT_GT(st.lb_keogh_pruned, 0u);
+            }
+          }
+          EXPECT_EQ(pruned.idx, exact.idx);
+          EXPECT_EQ(pruned.dist, exact.dist);
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnSeriesGraph, RejectsNonFiniteRows) {
+  Matrix s = clustered_series(12, 6, 26);
+  s(7, 3) = std::numeric_limits<double>::quiet_NaN();
+  s(9, 0) = kInf;
+  for (const bool prune : {false, true}) {
+    ts::KnnOptions opts;
+    opts.k = 3;
+    opts.prune = prune;
+    try {
+      (void)ts::knn_series_graph(s, opts);
+      ADD_FAILURE() << "no throw, prune " << prune;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 7"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- Spatial k-NN ---------------------------------------------------------
 
 TEST(SpatialKnn, CoordsPathMatchesDistanceMatrixPath) {
@@ -207,6 +410,51 @@ TEST(SpatialKnn, TiesBreakTowardSmallerIndex) {
     for (std::size_t r = 0; r < 3; ++r) {
       EXPECT_EQ(knn.idx[knn.offsets[i] + r], expect[r]) << "row " << i;
     }
+  }
+}
+
+TEST(SpatialKnn, GridTiesMatchDistanceMatrixPath) {
+  // An integer 64 x 64 grid: every interior node has 4 neighbours at 1, 4
+  // at sqrt(2), 4 at 2, ... — exact ties at every k, in both coordinates,
+  // across the sorted sweep's x-columns.
+  const std::size_t side = 64;
+  Matrix coords(side * side, 2);
+  for (std::size_t i = 0; i < coords.rows(); ++i) {
+    coords(i, 0) = static_cast<double>(i % side);
+    coords(i, 1) = static_cast<double>(i / side);
+  }
+  const Matrix dense = graph::pairwise_euclidean(coords);
+  for (const std::size_t k : {std::size_t{6}, std::size_t{10}}) {
+    const ts::NeighborList want = graph::knn_from_distances(dense, k);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      BackendGuard guard(threads);
+      const ts::NeighborList got = graph::knn_from_coords(coords, k);
+      EXPECT_EQ(got.offsets, want.offsets);
+      EXPECT_EQ(got.idx, want.idx) << "k " << k << " threads " << threads;
+      EXPECT_EQ(got.dist, want.dist);
+    }
+  }
+}
+
+TEST(SpatialKnn, RejectNonFiniteRows) {
+  Rng rng(27);
+  Matrix coords = rng.normal_matrix(10, 2, 1.0);
+  coords(4, 1) = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)graph::knn_from_coords(coords, 3);
+    ADD_FAILURE() << "knn_from_coords did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 4"), std::string::npos)
+        << e.what();
+  }
+  Matrix dist = graph::pairwise_euclidean(rng.normal_matrix(10, 2, 1.0));
+  dist(6, 2) = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)graph::knn_from_distances(dist, 3);
+    ADD_FAILURE() << "knn_from_distances did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 6"), std::string::npos)
+        << e.what();
   }
 }
 

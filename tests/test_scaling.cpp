@@ -11,8 +11,12 @@
 // gate), they skip on hosts with < 4 cores, they use best-of-K wall times,
 // and the required speedup is deliberately below the ideal 4x:
 //   RIHGCN_MIN_SCALING (default 1.8) — min required @4T-over-@1T speedup.
+// Each test also notes the CPUs its threads ran on during the timed phase
+// (cpu_probe.hpp) and prints them with a failure, so a host that stacks
+// every thread on one CPU is told apart from code that serializes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "autodiff/tape.hpp"
+#include "cpu_probe.hpp"
 #include "core/hetero_graphs.hpp"
 #include "core/rihgcn.hpp"
 #include "data/dataset.hpp"
@@ -39,10 +44,13 @@ double min_scaling_factor() {
   return std::strtod(env, nullptr);
 }
 
+using testutil::CpuSet;
+
 // Best-of-K wall time: the minimum is the least-interference estimate, which
 // is what a scaling ratio should be built from (noise only inflates samples).
-template <typename Fn>
-double best_of_sec(const Fn& fn, int reps) {
+// `after` runs after each rep, outside the timed window.
+template <typename Fn, typename After>
+double best_of_sec(const Fn& fn, int reps, const After& after) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -50,8 +58,25 @@ double best_of_sec(const Fn& fn, int reps) {
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     if (dt.count() < best) best = dt.count();
+    after();
   }
   return best;
+}
+
+// Notes the CPU of every thread of `pool`: one chunk per thread, each held
+// until all have started (or 1 s passes), so no thread runs two of them.
+void note_pool_cpus(ThreadPool& pool, CpuSet& cpus) {
+  const std::size_t n = pool.num_threads();
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_for(0, n, 1, [&](std::size_t, std::size_t) {
+    cpus.note();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (arrived.load() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
 }
 
 bool enough_cores() { return std::thread::hardware_concurrency() >= 4; }
@@ -70,16 +95,23 @@ TEST(ThreadScaling, DenseMatmulScalesAcrossCores) {
     Matrix out(384, 384);
     matmul_accumulate(a, b, out);
   };
+  // The pool's threads live inside the kernel, so their CPUs are noted
+  // between reps: a thread stacked on a CPU stays there.
+  CpuSet cpus1, cpus4;
   ThreadPool::set_global_threads(1);
   work();  // warmup (page-in, frequency ramp)
-  const double t1 = best_of_sec(work, 3);
+  const double t1 = best_of_sec(
+      work, 3, [&] { note_pool_cpus(ThreadPool::global(), cpus1); });
   ThreadPool::set_global_threads(4);
   work();
-  const double t4 = best_of_sec(work, 3);
+  const double t4 = best_of_sec(
+      work, 3, [&] { note_pool_cpus(ThreadPool::global(), cpus4); });
   ThreadPool::set_global_threads(0);
   const double speedup = t1 / t4;
   EXPECT_GE(speedup, min_scaling_factor())
-      << "matmul @1T " << t1 * 1e3 << "ms vs @4T " << t4 * 1e3 << "ms";
+      << "matmul @1T " << t1 * 1e3 << "ms vs @4T " << t4 * 1e3
+      << "ms; pool threads ran on CPUs " << cpus1.str() << " @1T and "
+      << cpus4.str() << " @4T (" << cpus4.count() << " distinct)";
 }
 
 // Small-but-real RIHGCN environment (same construction as the trainer
@@ -126,11 +158,14 @@ TEST(ThreadScaling, BatchGradientsScaleAcrossCores) {
   const std::vector<std::size_t> idx{10, 20, 30, 40, 50, 60, 70, 80};
 
   // Mirrors core/trainer.cpp parallel_batch_gradients: persistent crew,
-  // chunk w IS worker w, per-worker arena tape + sink, strided slice.
+  // chunk w IS worker w, per-worker arena tape + sink, strided slice. Each
+  // chunk notes its CPU into `cpus`.
   const auto run_batch = [&](ThreadPool& crew, std::size_t workers,
-                             std::vector<std::unique_ptr<ad::Tape>>& tapes) {
+                             std::vector<std::unique_ptr<ad::Tape>>& tapes,
+                             CpuSet& cpus) {
     std::vector<ad::Tape::GradSink> sinks(workers);
     crew.parallel_for(0, workers, 1, [&](std::size_t w, std::size_t) {
+      cpus.note();
       for (std::size_t b = w; b < idx.size(); b += workers) {
         ad::Tape& tape = *tapes[w];
         tape.reset();
@@ -150,22 +185,25 @@ TEST(ThreadScaling, BatchGradientsScaleAcrossCores) {
   for (std::size_t w = 0; w < 4; ++w) {
     tapes.push_back(std::make_unique<ad::Tape>());
   }
-  const auto serial = [&] {
+  CpuSet warmup, cpus1, cpus4;
+  const auto serial = [&](CpuSet& cpus) {
     for (ad::Parameter* p : fx.model->parameters()) p->zero_grad();
-    run_batch(crew1, 1, tapes);
+    run_batch(crew1, 1, tapes, cpus);
   };
-  const auto threaded = [&] {
+  const auto threaded = [&](CpuSet& cpus) {
     for (ad::Parameter* p : fx.model->parameters()) p->zero_grad();
-    run_batch(crew4, 4, tapes);
+    run_batch(crew4, 4, tapes, cpus);
   };
-  serial();  // warmup: arena tapes size themselves, caches fill
-  threaded();
-  const double t1 = best_of_sec(serial, 3);
-  const double t4 = best_of_sec(threaded, 3);
+  serial(warmup);  // warmup: arena tapes size themselves, caches fill
+  threaded(warmup);
+  const auto nothing = [] {};
+  const double t1 = best_of_sec([&] { serial(cpus1); }, 3, nothing);
+  const double t4 = best_of_sec([&] { threaded(cpus4); }, 3, nothing);
   const double speedup = t1 / t4;
   EXPECT_GE(speedup, min_scaling_factor())
       << "batch gradients @1T " << t1 * 1e3 << "ms vs @4T " << t4 * 1e3
-      << "ms";
+      << "ms; workers ran on CPUs " << cpus1.str() << " @1T and "
+      << cpus4.str() << " @4T (" << cpus4.count() << " distinct)";
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 // Timed and noisy, so: tier-2 (not the always-on gate), skips on hosts with
 // < 4 cores, distinct streams per client (no coalescing masking the engine
 // work), and a measurement window long enough to amortize flush timers.
+// The engine notes the CPU of every call it serves in the measured window
+// (cpu_probe.hpp); a failure prints them, so a host that stacks the
+// workers on one CPU is told apart from a flush path that serializes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "cpu_probe.hpp"
 #include "core/hetero_graphs.hpp"
 #include "core/rihgcn.hpp"
 #include "data/dataset.hpp"
@@ -39,6 +43,25 @@ double min_scaling_factor() {
 }
 
 bool enough_cores() { return std::thread::hardware_concurrency() >= 4; }
+
+using testutil::CpuSet;
+
+/// The served engine, noting the CPU of each call once `sink` is set — the
+/// ExecPool workers are the server's own, so this is where they report.
+class CpuNotingEngine : public core::InferenceEngine {
+ public:
+  CpuNotingEngine(const core::RihgcnModel& model, Options options)
+      : core::InferenceEngine(model, options) {}
+
+  const FMatrix& predict_batch(const data::Window* const* windows,
+                               std::size_t batch,
+                               Workspace& ws) const override {
+    if (CpuSet* cpus = sink.load(std::memory_order_acquire)) cpus->note();
+    return core::InferenceEngine::predict_batch(windows, batch, ws);
+  }
+
+  std::atomic<CpuSet*> sink{nullptr};
+};
 
 struct ScalingFixture {
   data::TrafficDataset ds;
@@ -77,11 +100,13 @@ ScalingFixture make_fixture() {
 }
 
 /// Closed-loop QPS: 8 client threads on 8 DISTINCT streams (no coalescing),
-/// each re-issuing as soon as its previous forecast lands.
-double measure_qps(const ScalingFixture& s, std::size_t workers) {
+/// each re-issuing as soon as its previous forecast lands. The CPUs of the
+/// engine calls in the measured window go to `cpus`.
+double measure_qps(const ScalingFixture& s, std::size_t workers,
+                   CpuSet& cpus) {
   core::InferenceEngine::Options eopts;
   eopts.max_batch = 8;
-  auto engine = std::make_shared<core::InferenceEngine>(*s.model, eopts);
+  auto engine = std::make_shared<CpuNotingEngine>(*s.model, eopts);
   serve::ServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_us = 200;
@@ -108,6 +133,7 @@ double measure_qps(const ScalingFixture& s, std::size_t workers) {
   std::atomic<std::size_t> completed{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
+  engine->sink.store(&cpus, std::memory_order_release);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -122,6 +148,7 @@ double measure_qps(const ScalingFixture& s, std::size_t workers) {
   for (auto& t : clients) t.join();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - t0;
+  engine->sink.store(nullptr, std::memory_order_release);  // window over
   return static_cast<double>(completed.load()) / elapsed.count();
 }
 
@@ -131,14 +158,18 @@ TEST(ServeScaling, PooledQpsScalesAcrossWorkers) {
                  << std::thread::hardware_concurrency();
   }
   const ScalingFixture s = make_fixture();
-  const double qps1 = measure_qps(s, 1);
-  const double qps4 = measure_qps(s, 4);
+  CpuSet cpus1, cpus4;
+  const double qps1 = measure_qps(s, 1, cpus1);
+  const double qps4 = measure_qps(s, 4, cpus4);
   const double speedup = qps4 / qps1;
   RecordProperty("qps_workers1", static_cast<int>(qps1));
   RecordProperty("qps_workers4", static_cast<int>(qps4));
+  RecordProperty("cpus_workers4", cpus4.str());
   EXPECT_GE(speedup, min_scaling_factor())
       << "closed-loop QPS: " << qps1 << " @1 worker vs " << qps4
-      << " @4 workers";
+      << " @4 workers; engine calls ran on CPUs " << cpus1.str()
+      << " @1 worker and " << cpus4.str() << " @4 workers ("
+      << cpus4.count() << " distinct)";
 }
 
 }  // namespace

@@ -15,7 +15,10 @@
 # worker pool's per-worker FIFO queues and drain-on-destruction, and
 # ServePool.StormRacesWorkersBreakerPublishAndDrain races 3 pool workers
 # against 4 clients, a poisoned publisher, the circuit breaker, and drain()
-# with exact counter accounting.
+# with exact counter accounting. The §13 k-NN graph builders ride along as
+# well (DtwBounds*, KnnSeriesGraph*, SpatialKnn*, CsrGraphPipeline*): their
+# pool workers share the sorted, read-only series and coordinate arrays
+# built once per call.
 #
 # Usage: tools/run_tsan.sh [extra gtest filter]
 set -euo pipefail
@@ -27,7 +30,7 @@ build_dir=build-tsan
 cmake -B "${build_dir}" -S . -DRIHGCN_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j --target rihgcn_tests
 
-filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:OnlineMemo*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*}"
+filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:OnlineMemo*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
 
 # tools/tsan.supp: exception_ptr refcounts live in uninstrumented
 # libstdc++.so; see the file for why that one frame is a false positive.
