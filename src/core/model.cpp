@@ -1,6 +1,8 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <iomanip>
+#include <sstream>
 
 namespace rihgcn::core {
 
@@ -87,6 +89,27 @@ EvalResult evaluate_imputation(ForecastModel& model,
   }
   if (acc.empty()) return {-1.0, -1.0};
   return {acc.mae(), acc.rmse()};
+}
+
+std::string model_summary(ForecastModel& model) {
+  std::ostringstream os;
+  os << "Model: " << model.name() << "\n";
+  os << std::left << std::setw(28) << "parameter" << std::setw(12) << "shape"
+     << std::right << std::setw(10) << "count" << "\n";
+  os << std::string(50, '-') << "\n";
+  std::size_t total = 0;
+  for (const ad::Parameter* p : model.parameters()) {
+    std::ostringstream shape;
+    shape << p->value().rows() << "x" << p->value().cols();
+    os << std::left << std::setw(28)
+       << (p->name().empty() ? "<unnamed>" : p->name()) << std::setw(12)
+       << shape.str() << std::right << std::setw(10) << p->size() << "\n";
+    total += p->size();
+  }
+  os << std::string(50, '-') << "\n";
+  os << std::left << std::setw(40) << "total" << std::right << std::setw(10)
+     << total << "\n";
+  return os.str();
 }
 
 }  // namespace rihgcn::core

@@ -99,4 +99,8 @@ struct EvalResult {
     const data::ZScoreNormalizer* normalizer, std::size_t max_windows = 0,
     std::size_t stride = 1);
 
+/// Human-readable parameter inventory of a model (name, shape, count),
+/// ending with the total — the "model summary" every DL framework grows.
+[[nodiscard]] std::string model_summary(ForecastModel& model);
+
 }  // namespace rihgcn::core

@@ -212,7 +212,7 @@ std::size_t ReadingBuffer::push(Matrix values, Matrix mask) {
   return demoted;
 }
 
-data::Window ReadingBuffer::window(std::size_t horizon) const {
+data::Window ReadingBuffer::window() const {
   data::Window w;
   const std::size_t pad = lookback_ - values_.size();
   // The padded window starts `lookback` slots before the next reading.
@@ -222,40 +222,10 @@ data::Window ReadingBuffer::window(std::size_t horizon) const {
   for (std::size_t k = 0; k < pad; ++k) {
     w.x_obs.emplace_back(num_nodes_, num_features_);
     w.x_mask.emplace_back(num_nodes_, num_features_);
-    w.x_truth.emplace_back(num_nodes_, num_features_);
   }
-  for (std::size_t k = 0; k < values_.size(); ++k) {
-    w.x_obs.push_back(values_[k]);
-    w.x_mask.push_back(masks_[k]);
-    w.x_truth.push_back(values_[k]);
-  }
-  // Models only read y/y_mask in training_loss.
-  for (std::size_t k = 0; k < horizon; ++k) {
-    w.y.emplace_back(num_nodes_, 1);
-    w.y_mask.emplace_back(num_nodes_, 1);
-  }
+  w.x_obs.insert(w.x_obs.end(), values_.begin(), values_.end());
+  w.x_mask.insert(w.x_mask.end(), masks_.begin(), masks_.end());
   return w;
-}
-
-std::vector<std::size_t> find_suspect_sensors(
-    const std::vector<bool>& stuck_flags, const std::deque<Matrix>& masks,
-    std::size_t num_nodes, bool buffer_full) {
-  std::vector<std::size_t> suspects;
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    bool suspect = i < stuck_flags.size() && stuck_flags[i];
-    if (!suspect && buffer_full) {
-      bool any_observed = false;
-      for (const Matrix& m : masks) {
-        for (std::size_t f = 0; f < m.cols() && !any_observed; ++f) {
-          if (m(i, f) > 0.5) any_observed = true;
-        }
-        if (any_observed) break;
-      }
-      suspect = !any_observed;
-    }
-    if (suspect) suspects.push_back(i);
-  }
-  return suspects;
 }
 
 }  // namespace rihgcn::core

@@ -13,16 +13,10 @@
 //    moments roll back to the last known-good snapshot. With healthy data
 //    the guard is pure observation: it never perturbs a clean run, and all
 //    of its counters stay zero (CI asserts this).
-//  * HealthReport — the serving-side health surface of OnlineForecaster:
-//    buffer coverage, suspect (stuck/dead) sensors, sanitization and
-//    fallback counters.
-//  * Shared serving-side scrub/sanitize/stuck-detection primitives
-//    (DESIGN.md §15) — ONE implementation behind both serving layers:
-//    the single-tenant OnlineForecaster and the multi-client
-//    serve::ForecastServer apply identical ingest sanitization, identical
-//    stuck-sensor demotion and identical non-finite output scrubbing, so a
-//    reading degrades the same way no matter which front end saw it — and
-//    one ReadingBuffer, so both build the same model window from a stream.
+//  * Serving-side scrub/sanitize/stuck-detection primitives and the
+//    per-stream ReadingBuffer (DESIGN.md §15) behind serve::ForecastServer:
+//    ingest sanitization, stuck-sensor demotion, the rolling window the
+//    compiled engine reads, and non-finite output scrubbing.
 #pragma once
 
 #include <cstddef>
@@ -135,8 +129,8 @@ class NumericalGuard {
 
 /// Replace every non-finite entry of `m` with `replacement` (0.0 = the
 /// historical mean in normalized space). Returns the number of entries
-/// scrubbed. Both serving layers route model output through this before a
-/// value ever reaches a client — a forecast is never non-finite.
+/// scrubbed. The server's degraded path routes engine output through this
+/// before a value ever reaches a client — a forecast is never non-finite.
 std::size_t scrub_non_finite(Matrix& m, double replacement = 0.0);
 
 /// What one sanitize_reading call demoted (for health counters).
@@ -145,17 +139,16 @@ struct SanitizeCounts {
   std::size_t coerced_mask_entries = 0; ///< mask entries outside {0,1}
 };
 
-/// Ingest sanitization shared by OnlineForecaster::push_reading and
-/// ForecastServer::ingest: demote non-finite values and malformed mask
-/// entries to missing, normalize the survivors. `normalized` and
-/// `clean_mask` must be preallocated to the shape of `values`; entries are
-/// fully overwritten. A pure function of (values, mask, normalizer) — safe
+/// Ingest sanitization (ForecastServer::ingest): demote non-finite values
+/// and malformed mask entries to missing, normalize the survivors.
+/// `normalized` and `clean_mask` must be preallocated to the shape of
+/// `values`; entries are fully overwritten. A pure function of (values, mask, normalizer) — safe
 /// to run on any thread against a frozen normalizer.
 SanitizeCounts sanitize_reading(const Matrix& values, const Matrix& mask,
                                 const data::ZScoreNormalizer& normalizer,
                                 Matrix& normalized, Matrix& clean_mask);
 
-/// Sliding-run stuck-sensor detector shared by both serving layers: a node
+/// Sliding-run stuck-sensor detector (one per ReadingBuffer): a node
 /// whose target-feature value repeats exactly `threshold` consecutive
 /// observed readings is flagged stuck, and its readings are demoted to
 /// missing until the value moves again (real traffic always jitters; a
@@ -173,11 +166,6 @@ class StuckSensorDetector {
   /// `mask` are zeroed. Returns the number of readings demoted this call.
   std::size_t observe_and_demote(Matrix& values, Matrix& mask);
 
-  /// Re-arm with a new threshold; run-length state is preserved.
-  void set_threshold(std::size_t threshold) noexcept {
-    threshold_ = threshold;
-  }
-  [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
   /// Per-node "currently flagged stuck" flags.
   [[nodiscard]] const std::vector<bool>& flags() const noexcept {
     return stuck_;
@@ -191,10 +179,9 @@ class StuckSensorDetector {
 };
 
 /// One stream's rolling buffer of its last `lookback` sanitized, normalized
-/// readings, shared by both serving layers (an OnlineForecaster, each
-/// ForecastServer stream): push() demotes stuck sensors, appends and evicts;
-/// window() builds the model input. Sanitizing, counters and the
-/// degradation policy stay with each front end.
+/// readings (each ForecastServer stream): push() demotes stuck sensors,
+/// appends and evicts; window() builds the engine input. Sanitizing,
+/// counters and the degradation policy stay with the server.
 class ReadingBuffer {
  public:
   /// `start_slot` is the time-of-day slot of the first reading;
@@ -208,23 +195,16 @@ class ReadingBuffer {
   /// the readings demoted.
   std::size_t push(Matrix values, Matrix mask);
 
-  /// The model window: `lookback` steps, the warm-up left-padded with
-  /// fully-missing steps (the imputation machinery fills them), x_truth
-  /// mirroring x_obs and `horizon` empty targets — both unknown online.
-  [[nodiscard]] data::Window window(std::size_t horizon) const;
+  /// The engine window: `slot`, `x_obs` and `x_mask` over `lookback` steps,
+  /// the warm-up left-padded with fully-missing steps (the imputation
+  /// machinery fills them). The ground-truth and target members stay
+  /// empty — both are unknown online.
+  [[nodiscard]] data::Window window() const;
 
   [[nodiscard]] std::size_t seen() const noexcept { return seen_; }
   /// Time-of-day slot the NEXT reading will be stamped with.
   [[nodiscard]] std::size_t next_slot() const noexcept {
     return (start_slot_ + seen_) % steps_per_day_;
-  }
-  /// Buffered masks, oldest first (at most `lookback`).
-  [[nodiscard]] const std::deque<Matrix>& masks() const noexcept {
-    return masks_;
-  }
-  [[nodiscard]] StuckSensorDetector& detector() noexcept { return detector_; }
-  [[nodiscard]] const StuckSensorDetector& detector() const noexcept {
-    return detector_;
   }
 
  private:
@@ -234,42 +214,6 @@ class ReadingBuffer {
   std::deque<Matrix> values_;  ///< normalized, observed-masked
   std::deque<Matrix> masks_;
   StuckSensorDetector detector_;
-};
-
-/// Suspect-sensor roll-up shared by the health surfaces: nodes currently
-/// flagged stuck, plus nodes dead (zero observed entries) across a FULL
-/// buffer of masks (`buffer_full` false suppresses the dead check — a
-/// half-warm buffer says nothing about sensor death).
-[[nodiscard]] std::vector<std::size_t> find_suspect_sensors(
-    const std::vector<bool>& stuck_flags, const std::deque<Matrix>& masks,
-    std::size_t num_nodes, bool buffer_full);
-
-/// Serving-side health surface of core::OnlineForecaster.
-struct HealthReport {
-  /// Fraction of entries in the current buffer that are real observations
-  /// (after sanitization and stuck-sensor demotion).
-  double buffer_coverage = 0.0;
-  std::size_t readings_seen = 0;
-  /// Non-finite reading entries demoted to missing on ingest.
-  std::size_t sanitized_entries = 0;
-  /// Mask entries outside {0,1} coerced on ingest.
-  std::size_t coerced_mask_entries = 0;
-  /// Whole readings demoted to missing because the sensor was stuck.
-  std::size_t stuck_demotions = 0;
-  /// Forecasts served by the primary model.
-  std::size_t model_forecasts = 0;
-  /// Forecasts served by the fallback model (primary threw or went
-  /// non-finite).
-  std::size_t fallback_forecasts = 0;
-  /// Forecasts answered from the memo cache (no ingest since the last
-  /// model run — same window, same answer).
-  std::size_t memoized_forecasts = 0;
-  /// Individual output entries scrubbed to the historical mean because even
-  /// the fallback path left them non-finite.
-  std::size_t scrubbed_outputs = 0;
-  /// Nodes currently flagged stuck (repeating one value) or dead (no
-  /// observation anywhere in a full buffer).
-  std::vector<std::size_t> suspect_sensors;
 };
 
 }  // namespace rihgcn::core

@@ -7,8 +7,8 @@
 // FaultInjector corrupts a TrafficDataset in place with each of those modes,
 // driven by a seeded Rng so every fault pattern is exactly reproducible —
 // the robustness test suite (tests/test_robust.cpp) asserts that training
-// survives each class with finite parameters and that the NumericalGuard /
-// OnlineForecaster counters register the damage.
+// survives each class with finite parameters and that the NumericalGuard
+// counters register the damage.
 //
 // Conventions:
 //   * Faults corrupt `truth` DIRECTLY and leave `mask` claiming the entry is

@@ -7,7 +7,7 @@ namespace rihgcn::data {
 namespace {
 
 void check_rate(double rate) {
-  if (rate < 0.0 || rate >= 1.0) {
+  if (!(rate >= 0.0 && rate < 1.0)) {  // NaN fails every comparison
     throw std::invalid_argument("missing rate must be in [0, 1)");
   }
 }

@@ -358,7 +358,7 @@ void ForecastServer::enqueue_request(std::size_t stream,
   Pending p;
   p.stream = stream;
   p.version = s.version;
-  p.window = s.buffer.window(horizon_);
+  p.window = s.buffer.window();
   attach_waiter(p, std::move(w));
   pending_.push_back(std::move(p));
   if (pending_.size() >= cfg_.max_batch) {
@@ -387,13 +387,8 @@ data::Window ForecastServer::make_probe_window() const {
         msk(i, c) = static_cast<double>((i + c + t) % 2);
       }
     }
-    w.x_obs.push_back(obs);
-    w.x_mask.push_back(msk);
-    w.x_truth.push_back(std::move(obs));
-  }
-  for (std::size_t k = 0; k < horizon_; ++k) {
-    w.y.emplace_back(n_, 1);
-    w.y_mask.emplace_back(n_, 1);
+    w.x_obs.push_back(std::move(obs));
+    w.x_mask.push_back(std::move(msk));
   }
   return w;
 }

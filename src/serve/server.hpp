@@ -1,9 +1,7 @@
 // ForecastServer — the online serving front end (DESIGN.md §14, §15).
 //
-// OnlineForecaster (src/core/online.hpp) wraps ONE stream around the f64
-// tape model; ForecastServer is the production path: many streams, many
-// concurrent clients, one compiled core::InferenceEngine. Three mechanisms
-// carry the load:
+// Many sensor streams, many concurrent clients, one compiled
+// core::InferenceEngine. Three mechanisms carry the load:
 //
 //   * micro-batching — forecast requests land in an admission queue on the
 //     event-loop thread and are flushed through ONE predict_batch call when
@@ -128,8 +126,9 @@ struct ServeConfig {
   /// How long an open breaker waits before letting one half-open probe
   /// batch through the engine.
   std::uint64_t breaker_cooldown_us = 10'000;
-  /// Per-stream stuck-sensor demotion threshold (core::StuckSensorDetector,
-  /// the shared OnlineForecaster semantics); 0 disables.
+  /// Per-stream stuck-sensor demotion threshold: a node whose target value
+  /// repeats this many consecutive observed readings is demoted to missing
+  /// until it moves (core::StuckSensorDetector); 0 disables.
   std::size_t stuck_threshold = 12;
   /// true: engine failures answer waiters with degraded-but-finite values
   /// (last-good / mean-scrub fallback). false: they carry
@@ -262,7 +261,7 @@ class ForecastServer {
   };
   /// Per-stream state (loop thread only).
   struct Stream {
-    core::ReadingBuffer buffer;  ///< shared OnlineForecaster semantics
+    core::ReadingBuffer buffer;  ///< last `lookback` readings + stuck state
     std::uint64_t version = 0;   ///< bumped per ingest; the coalescing key
     Matrix last_good;  ///< last finite engine forecast (original units)
   };

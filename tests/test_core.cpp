@@ -417,5 +417,20 @@ TEST(Rihgcn, SparseAndDenseTrainingBitwiseIdentical) {
   }
 }
 
+// ---- model_summary ---------------------------------------------------------
+
+TEST(ModelSummary, ListsParametersAndTotal) {
+  Fixture f;
+  RihgcnModel model(*f.graphs, 6, 4, f.model_config());
+  const std::string summary = model_summary(model);
+  EXPECT_NE(summary.find("RIHGCN"), std::string::npos);
+  EXPECT_NE(summary.find("hgcn.geo.theta0"), std::string::npos);
+  EXPECT_NE(summary.find("total"), std::string::npos);
+  // Total in the text equals the real count.
+  std::size_t total = 0;
+  for (ad::Parameter* p : model.parameters()) total += p->size();
+  EXPECT_NE(summary.find(std::to_string(total)), std::string::npos);
+}
+
 }  // namespace
 }  // namespace rihgcn::core

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -238,6 +239,14 @@ TEST(Mcar, RejectsBadRate) {
   Rng rng(6);
   EXPECT_THROW(inject_mcar(ds, 1.0, rng), std::invalid_argument);
   EXPECT_THROW(inject_mcar(ds, -0.1, rng), std::invalid_argument);
+  // NaN fails both `rate < 0` and `rate >= 1`; every rate-taking injector
+  // must still refuse it instead of silently dropping nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(inject_mcar(ds, nan, rng), std::invalid_argument);
+  EXPECT_THROW(inject_mcar_readings(ds, nan, rng), std::invalid_argument);
+  EXPECT_THROW(inject_block_missing(ds, nan, 12, rng), std::invalid_argument);
+  EXPECT_THROW((void)make_imputation_holdout(ds, nan, rng),
+               std::invalid_argument);
 }
 
 TEST(BlockMissing, ApproximatesRateWithBursts) {

@@ -333,5 +333,68 @@ TEST(Snapshot, RestoreValues) {
   EXPECT_THROW(restore_values({}, params), std::invalid_argument);
 }
 
+// ---- Optimizer extensions ----------------------------------------------------
+
+TEST(AdamW, WeightDecayShrinksUnusedParameters) {
+  // A parameter with zero gradient should decay toward zero under AdamW.
+  ad::Parameter w(Matrix(1, 2, 10.0), "w");
+  nn::AdamOptimizer::Config cfg;
+  cfg.lr = 0.1;
+  cfg.weight_decay = 0.1;
+  nn::AdamOptimizer opt({&w}, cfg);
+  for (int i = 0; i < 50; ++i) {
+    opt.zero_grad();
+    opt.step();
+  }
+  EXPECT_LT(w.value().abs_max(), 10.0 * std::pow(1.0 - 0.01, 49));
+}
+
+TEST(AdamW, NoDecayWhenDisabled) {
+  ad::Parameter w(Matrix(1, 2, 10.0), "w");
+  nn::AdamOptimizer opt({&w});
+  opt.zero_grad();
+  opt.step();
+  EXPECT_DOUBLE_EQ(w.value()(0, 0), 10.0);  // zero grad, zero decay
+}
+
+TEST(LrDecay, ScheduledDecayApplies) {
+  ad::Parameter w(Matrix(1, 1), "w");
+  nn::AdamOptimizer::Config cfg;
+  cfg.lr = 1.0;
+  cfg.lr_decay = 0.5;
+  cfg.lr_decay_every = 2;
+  nn::AdamOptimizer opt({&w}, cfg);
+  EXPECT_DOUBLE_EQ(opt.current_lr(), 1.0);
+  opt.step();
+  EXPECT_DOUBLE_EQ(opt.current_lr(), 1.0);
+  opt.step();  // step 2 -> decay
+  EXPECT_DOUBLE_EQ(opt.current_lr(), 0.5);
+  opt.step();
+  opt.step();  // step 4 -> decay again
+  EXPECT_DOUBLE_EQ(opt.current_lr(), 0.25);
+}
+
+TEST(LrDecay, DecayedLrChangesStepSize) {
+  auto run = [](double decay) {
+    ad::Parameter w(Matrix(1, 1), "w");
+    nn::AdamOptimizer::Config cfg;
+    cfg.lr = 0.1;
+    cfg.lr_decay = decay;
+    cfg.lr_decay_every = 1;
+    nn::AdamOptimizer opt({&w}, cfg);
+    const Matrix target{{5.0}};
+    for (int i = 0; i < 30; ++i) {
+      opt.zero_grad();
+      ad::Tape tape;
+      ad::Var loss = tape.masked_mse(tape.leaf(w), target, Matrix(1, 1, 1.0));
+      tape.backward(loss);
+      opt.step();
+    }
+    return w.value()(0, 0);
+  };
+  // Aggressive decay freezes progress early; no decay gets closer to 5.
+  EXPECT_GT(run(1.0), run(0.5));
+}
+
 }  // namespace
 }  // namespace rihgcn::nn

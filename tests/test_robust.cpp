@@ -1,27 +1,26 @@
 // Robustness suite (DESIGN.md §11): NumericalGuard semantics, durable
 // CRC-verified training checkpoints with bitwise-identical resume, the
 // deterministic fault injector, training under injected faults, and the
-// OnlineForecaster degradation paths (sanitize / stuck detection / fallback
-// / scrub). The CleanRun* tests double as the CI gate that the guard never
-// fires on healthy data.
+// serving-side primitives (sanitize / stuck detection / scrub / the
+// per-stream ReadingBuffer). The ForecastServer paths built on them are
+// OnlineRobust.* in test_serve.cpp. The CleanRun* tests double as the CI
+// gate that the guard never fires on healthy data.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 
-#include "baselines/classical.hpp"
 #include "baselines/neural.hpp"
-#include "core/online.hpp"
 #include "core/robust.hpp"
 #include "core/trainer.hpp"
 #include "data/faults.hpp"
 #include "data/generators.hpp"
 #include "data/missing.hpp"
+#include "data/windows.hpp"
 #include "nn/optim.hpp"
 
 namespace rihgcn {
@@ -559,309 +558,10 @@ TEST(FaultInjection, TrainingSurvivesOutagesAndGaps) {
   EXPECT_EQ(report.epochs_run, 2u);
 }
 
-// ---- OnlineForecaster degradation paths ------------------------------------
-
-class ConstModel final : public core::ForecastModel {
- public:
-  ConstModel(std::size_t horizon, double value)
-      : horizon_(horizon), value_(value) {}
-  [[nodiscard]] std::string name() const override { return "const"; }
-  [[nodiscard]] std::vector<ad::Parameter*> parameters() override {
-    return {};
-  }
-  [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
-                                      const data::Window&) override {
-    return tape.constant(Matrix(1, 1, 1.0));
-  }
-  [[nodiscard]] Matrix predict(const data::Window& w) override {
-    return Matrix(w.x_obs.front().rows(), horizon_, value_);
-  }
-
- private:
-  std::size_t horizon_;
-  double value_;
-};
-
-class ThrowingModel final : public core::ForecastModel {
- public:
-  [[nodiscard]] std::string name() const override { return "throwing"; }
-  [[nodiscard]] std::vector<ad::Parameter*> parameters() override {
-    return {};
-  }
-  [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
-                                      const data::Window&) override {
-    return tape.constant(Matrix(1, 1, 1.0));
-  }
-  [[nodiscard]] Matrix predict(const data::Window&) override {
-    throw std::runtime_error("primary model exploded");
-  }
-};
-
-class WrongShapeModel final : public core::ForecastModel {
- public:
-  [[nodiscard]] std::string name() const override { return "wrong-shape"; }
-  [[nodiscard]] std::vector<ad::Parameter*> parameters() override {
-    return {};
-  }
-  [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
-                                      const data::Window&) override {
-    return tape.constant(Matrix(1, 1, 1.0));
-  }
-  [[nodiscard]] Matrix predict(const data::Window&) override {
-    return Matrix(2, 2, 1.0);
-  }
-};
-
-struct OnlineRig {
-  data::TrafficDataset ds = tiny_dataset(60);
-  data::ZScoreNormalizer nz{ds, ds.num_timesteps() * 7 / 10};
-
-  core::OnlineForecaster make(core::ForecastModel& model) {
-    return core::OnlineForecaster(model, nz, ds.num_nodes(),
-                                  ds.num_features(), /*lookback=*/6,
-                                  /*horizon=*/3, ds.steps_per_day);
-  }
-};
-
-TEST(OnlineRobust, SanitizesNonFiniteReadings) {
-  OnlineRig rig;
-  ConstModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  Matrix v(5, 4, 50.0);
-  Matrix m(5, 4, 1.0);
-  v(0, 0) = kNaN;
-  v(1, 2) = std::numeric_limits<double>::infinity();
-  online.push_reading(v, m);
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.sanitized_entries, 2u);
-  EXPECT_DOUBLE_EQ(h.buffer_coverage, 18.0 / 20.0);
-  EXPECT_FALSE(online.forecast().has_non_finite());
-}
-
-TEST(OnlineRobust, CoercesMalformedMaskEntries) {
-  OnlineRig rig;
-  ConstModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  Matrix v(5, 4, 50.0);
-  Matrix m(5, 4, 1.0);
-  m(0, 0) = 0.7;   // not in {0,1} but > 0.5 -> treated observed
-  m(1, 1) = -3.0;  // -> treated missing
-  m(2, 2) = kNaN;  // -> treated missing
-  online.push_reading(v, m);
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.coerced_mask_entries, 3u);
-  EXPECT_DOUBLE_EQ(h.buffer_coverage, 18.0 / 20.0);
-}
-
-TEST(OnlineRobust, StuckSensorFlaggedDemotedAndRecovers) {
-  OnlineRig rig;
-  ConstModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  online.set_stuck_threshold(3);
-  Matrix m(5, 4, 1.0);
-  for (std::size_t tick = 0; tick < 6; ++tick) {
-    Matrix v(5, 4, 40.0 + static_cast<double>(tick));  // others jitter
-    v(2, 0) = 42.0;  // node 2's register is frozen
-    online.push_reading(v, m);
-  }
-  core::HealthReport h = online.health();
-  EXPECT_GE(h.stuck_demotions, 3u);  // flagged from the 3rd repeat on
-  ASSERT_EQ(h.suspect_sensors.size(), 1u);
-  EXPECT_EQ(h.suspect_sensors[0], 2u);
-  EXPECT_FALSE(online.forecast().has_non_finite());
-
-  // The register thaws: the flag clears on the next changed reading.
-  Matrix v(5, 4, 50.0);
-  v(2, 0) = 17.0;
-  online.push_reading(v, m);
-  h = online.health();
-  EXPECT_TRUE(h.suspect_sensors.empty());
-}
-
-TEST(OnlineRobust, FallsBackWhenPrimaryGoesNonFinite) {
-  OnlineRig rig;
-  ConstModel primary(3, kNaN);
-  ConstModel fallback(3, 0.5);
-  core::OnlineForecaster online = rig.make(primary);
-  online.set_fallback(&fallback);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  const Matrix pred = online.forecast();
-  EXPECT_FALSE(pred.has_non_finite());
-  EXPECT_DOUBLE_EQ(pred(0, 0), rig.nz.denormalize(0.5, 0));
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.model_forecasts, 0u);
-  EXPECT_EQ(h.fallback_forecasts, 1u);
-}
-
-TEST(OnlineRobust, FallsBackWhenPrimaryThrows) {
-  OnlineRig rig;
-  ThrowingModel primary;
-  ConstModel fallback(3, 0.25);
-  core::OnlineForecaster online = rig.make(primary);
-  online.set_fallback(&fallback);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  EXPECT_FALSE(online.forecast().has_non_finite());
-  EXPECT_EQ(online.health().fallback_forecasts, 1u);
-}
-
-TEST(OnlineRobust, ThrowingPrimaryWithoutFallbackPropagates) {
-  OnlineRig rig;
-  ThrowingModel primary;
-  core::OnlineForecaster online = rig.make(primary);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  EXPECT_THROW((void)online.forecast(), std::runtime_error);
-}
-
-TEST(OnlineRobust, ScrubsNonFiniteOutputWithoutFallback) {
-  OnlineRig rig;
-  ConstModel primary(3, kNaN);
-  core::OnlineForecaster online = rig.make(primary);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  const Matrix pred = online.forecast();
-  EXPECT_FALSE(pred.has_non_finite());
-  // Scrubbed entries land on the historical (denormalized) mean.
-  EXPECT_DOUBLE_EQ(pred(0, 0), rig.nz.denormalize(0.0, 0));
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.scrubbed_outputs, 15u);  // 5 nodes x 3 horizon steps
-  EXPECT_EQ(h.fallback_forecasts, 1u);
-}
-
-TEST(OnlineRobust, WrongShapePrimaryDegradesToFiniteForecast) {
-  OnlineRig rig;
-  WrongShapeModel primary;
-  core::OnlineForecaster online = rig.make(primary);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  const Matrix pred = online.forecast();
-  EXPECT_EQ(pred.rows(), 5u);
-  EXPECT_EQ(pred.cols(), 3u);
-  EXPECT_FALSE(pred.has_non_finite());
-  EXPECT_EQ(online.health().fallback_forecasts, 1u);
-}
-
-TEST(OnlineRobust, DeadSensorReportedAfterFullBuffer) {
-  OnlineRig rig;
-  ConstModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  Matrix v(5, 4, 50.0);
-  Matrix m(5, 4, 1.0);
-  for (std::size_t f = 0; f < 4; ++f) m(3, f) = 0.0;  // node 3 never reports
-  for (std::size_t tick = 0; tick < 6; ++tick) {
-    Matrix vt = v;
-    vt(0, 0) = static_cast<double>(tick);  // keep other nodes moving
-    online.push_reading(vt, m);
-  }
-  const core::HealthReport h = online.health();
-  ASSERT_EQ(h.suspect_sensors.size(), 1u);
-  EXPECT_EQ(h.suspect_sensors[0], 3u);
-}
-
-TEST(OnlineRobust, HealthyStreamReportsNoSuspectsOrFallbacks) {
-  OnlineRig rig;
-  ConstModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  for (std::size_t t = 0; t < 8; ++t) {
-    online.push_reading(rig.ds.truth[t], rig.ds.mask[t]);
-  }
-  (void)online.forecast();
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.sanitized_entries, 0u);
-  EXPECT_EQ(h.coerced_mask_entries, 0u);
-  EXPECT_EQ(h.stuck_demotions, 0u);
-  EXPECT_EQ(h.fallback_forecasts, 0u);
-  EXPECT_EQ(h.scrubbed_outputs, 0u);
-  EXPECT_EQ(h.model_forecasts, 1u);
-  EXPECT_TRUE(h.suspect_sensors.empty());
-}
-
-// ---- forecast memoization ----------------------------------------------------
-
-/// ConstModel that counts predict() calls, so tests can see cache hits.
-class CountingModel final : public core::ForecastModel {
- public:
-  CountingModel(std::size_t horizon, double value)
-      : horizon_(horizon), value_(value) {}
-  [[nodiscard]] std::string name() const override { return "counting"; }
-  [[nodiscard]] std::vector<ad::Parameter*> parameters() override {
-    return {};
-  }
-  [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
-                                      const data::Window&) override {
-    return tape.constant(Matrix(1, 1, 1.0));
-  }
-  [[nodiscard]] Matrix predict(const data::Window& w) override {
-    ++calls;
-    return Matrix(w.x_obs.front().rows(), horizon_, value_);
-  }
-  std::size_t calls = 0;
-
- private:
-  std::size_t horizon_;
-  double value_;
-};
-
-TEST(OnlineMemo, RepeatForecastsHitCacheExactly) {
-  OnlineRig rig;
-  CountingModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  const Matrix first = online.forecast();
-  const Matrix second = online.forecast();
-  const Matrix third = online.forecast();
-  EXPECT_EQ(model.calls, 1u);  // one model run serves all three
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, third);
-  const core::HealthReport h = online.health();
-  EXPECT_EQ(h.model_forecasts, 1u);
-  EXPECT_EQ(h.memoized_forecasts, 2u);
-}
-
-TEST(OnlineMemo, IngestInvalidates) {
-  OnlineRig rig;
-  CountingModel model(3, 0.5);
-  core::OnlineForecaster online = rig.make(model);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  (void)online.forecast();
-  online.push_reading(rig.ds.truth[1], rig.ds.mask[1]);
-  (void)online.forecast();
-  EXPECT_EQ(model.calls, 2u);
-  online.push_gap();  // a gap is an ingest too
-  (void)online.forecast();
-  EXPECT_EQ(model.calls, 3u);
-  EXPECT_EQ(online.health().memoized_forecasts, 0u);
-}
-
-TEST(OnlineMemo, ConfigChangesInvalidate) {
-  OnlineRig rig;
-  CountingModel model(3, 0.5);
-  ConstModel fallback(3, 0.25);
-  core::OnlineForecaster online = rig.make(model);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  (void)online.forecast();
-  online.set_fallback(&fallback);  // the robust path may resolve differently
-  (void)online.forecast();
-  EXPECT_EQ(model.calls, 2u);
-  online.set_stuck_threshold(7);
-  (void)online.forecast();
-  EXPECT_EQ(model.calls, 3u);
-}
-
-TEST(OnlineMemo, ThrowingForecastIsNeverCached) {
-  OnlineRig rig;
-  ThrowingModel primary;
-  core::OnlineForecaster online = rig.make(primary);
-  online.push_reading(rig.ds.truth[0], rig.ds.mask[0]);
-  EXPECT_THROW((void)online.forecast(), std::runtime_error);
-  // The failure was not memoized: the next call reaches the model again
-  // (and throws again) instead of replaying a cached error or stale value.
-  EXPECT_THROW((void)online.forecast(), std::runtime_error);
-  EXPECT_EQ(online.health().memoized_forecasts, 0u);
-}
-
 // ---- shared serving-side primitives (core/robust, DESIGN.md §15) -----------
 //
-// These are the ONE implementation behind both OnlineForecaster and
-// serve::ForecastServer; the unit tests here pin the exact semantics the
-// two serving layers inherit.
+// serve::ForecastServer is built on these; the unit tests here pin the
+// exact semantics it inherits.
 
 TEST(RobustPrimitives, ScrubNonFiniteReplacesAndCounts) {
   Matrix m(2, 2);
@@ -941,21 +641,55 @@ TEST(RobustPrimitives, StuckDetectorThresholdZeroDisables) {
   EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
 }
 
-TEST(RobustPrimitives, FindSuspectSensorsMergesStuckAndDead) {
-  std::deque<Matrix> masks;
-  for (int t = 0; t < 3; ++t) {
-    Matrix m(3, 1);
-    m(0, 0) = 1.0;  // node 0 observed
-    m(1, 0) = 0.0;  // node 1 dead across the whole buffer
-    m(2, 0) = t == 1 ? 1.0 : 0.0;  // node 2 sporadic but alive
-    masks.push_back(m);
+TEST(ReadingBuffer, MatchesSamplerWindowBitForBit) {
+  // The buffer's slot formula, warm-up padding and eviction must rebuild
+  // exactly the window the offline sampler cuts from the same readings.
+  constexpr std::size_t kLookback = 6, kHorizon = 3, kEarly = 3;
+  data::TrafficDataset ds = tiny_dataset();
+  Rng rng(8);
+  data::inject_mcar(ds, 0.3, rng);
+  const data::WindowSampler sampler(ds, kLookback, kHorizon);
+  const std::size_t t = ds.steps_per_day - 2;  // the window wraps midnight
+  const data::Window want = sampler.make_window(t);
+  core::ReadingBuffer buf(ds.num_nodes(), ds.num_features(), kLookback,
+                          ds.steps_per_day, ds.slot_of(t - kEarly),
+                          /*stuck_threshold=*/0);
+
+  // Warm-up: kEarly readings, left-padded with fully-missing steps.
+  for (std::size_t k = 0; k < kEarly; ++k) {
+    buf.push(ds.observed(t - kEarly + k), ds.mask[t - kEarly + k]);
   }
-  const std::vector<bool> stuck = {true, false, false};
-  const auto full = core::find_suspect_sensors(stuck, masks, 3, true);
-  EXPECT_EQ(full, (std::vector<std::size_t>{0, 1}));
-  // A half-warm buffer says nothing about death: only stuck flags survive.
-  const auto warm = core::find_suspect_sensors(stuck, masks, 3, false);
-  EXPECT_EQ(warm, (std::vector<std::size_t>{0}));
+  data::Window warm = buf.window();
+  ASSERT_EQ(warm.x_obs.size(), kLookback);
+  ASSERT_EQ(warm.x_mask.size(), kLookback);
+  EXPECT_EQ(warm.slot, ds.slot_of(t - kLookback));
+  for (std::size_t k = 0; k < kLookback - kEarly; ++k) {
+    EXPECT_EQ(warm.x_obs[k].abs_max(), 0.0) << "pad step " << k;
+    EXPECT_EQ(warm.x_mask[k].abs_max(), 0.0) << "pad step " << k;
+  }
+  for (std::size_t k = 0; k < kEarly; ++k) {
+    const std::size_t step = kLookback - kEarly + k;
+    EXPECT_TRUE(bitwise_equal(warm.x_obs[step], ds.observed(t - kEarly + k)));
+    EXPECT_TRUE(bitwise_equal(warm.x_mask[step], ds.mask[t - kEarly + k]));
+  }
+  EXPECT_TRUE(warm.x_truth.empty());
+  EXPECT_TRUE(warm.y.empty());
+  EXPECT_TRUE(warm.y_mask.empty());
+
+  // The sampler window's own steps: the kEarly readings are evicted.
+  for (std::size_t k = 0; k < kLookback; ++k) {
+    buf.push(want.x_obs[k], want.x_mask[k]);
+  }
+  EXPECT_EQ(buf.seen(), kEarly + kLookback);
+  EXPECT_EQ(buf.next_slot(), ds.slot_of(t + kLookback));
+  const data::Window got = buf.window();
+  EXPECT_EQ(got.slot, want.slot);
+  ASSERT_EQ(got.x_obs.size(), kLookback);
+  ASSERT_EQ(got.x_mask.size(), kLookback);
+  for (std::size_t k = 0; k < kLookback; ++k) {
+    EXPECT_TRUE(bitwise_equal(got.x_obs[k], want.x_obs[k])) << "step " << k;
+    EXPECT_TRUE(bitwise_equal(got.x_mask[k], want.x_mask[k])) << "step " << k;
+  }
 }
 
 }  // namespace

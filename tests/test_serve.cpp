@@ -3,8 +3,12 @@
 //  * EventLoopTest.*   — FIFO posts, (deadline, id) timer ordering, cancel,
 //    reentrant scheduling from inside handlers.
 //  * ServeBatch.*      — micro-batching admission queue: flush at max_batch,
-//    flush at max_delay_us, per-request windows match OnlineForecaster-style
-//    single-stream forecasts.
+//    flush at max_delay_us, batched answers bitwise equal to one
+//    sanitize_reading + ReadingBuffer + InferenceEngine::predict per stream.
+//  * OnlineRobust.*    — degraded ingest: NaN/Inf readings, malformed mask
+//    entries and frozen registers become missing entries counted in
+//    ServerStats; forecasts stay finite across feed gaps and a throwing
+//    engine's first call.
 //  * ServeCoalesce.*   — concurrent queries for the same (stream, ingest
 //    version) share one engine invocation; an ingest in between splits them.
 //  * ServeSnapshot.*   — publish() swaps retrained weights under concurrent
@@ -37,7 +41,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,7 +52,7 @@
 
 #include "core/engine.hpp"
 #include "core/hetero_graphs.hpp"
-#include "core/online.hpp"
+#include "core/robust.hpp"
 #include "core/rihgcn.hpp"
 #include "data/generators.hpp"
 #include "data/missing.hpp"
@@ -187,7 +193,7 @@ std::pair<Matrix, Matrix> reading_at(const ServeFixture& s, std::size_t t) {
 
 // ---- micro-batching --------------------------------------------------------
 
-TEST(ServeBatch, MatchesOnlineForecasterPerStream) {
+TEST(ServeBatch, MatchesEnginePredictPerStream) {
   ServeFixture s = make_fixture();
   auto engine = std::make_shared<core::InferenceEngine>(*s.model);
   serve::ServeConfig cfg;
@@ -195,52 +201,44 @@ TEST(ServeBatch, MatchesOnlineForecasterPerStream) {
   cfg.max_delay_us = 200;
   serve::ForecastServer server(engine, *s.normalizer, cfg);
 
-  // Reference: the engine through OnlineForecaster's exact window logic.
+  // Reference: each stream on its own — the shared ingest primitives and a
+  // single-window engine call, denormalized like the server does.
   core::InferenceEngine ref_engine(*s.model);
-  struct EngineAsModel : core::ForecastModel {
-    explicit EngineAsModel(core::InferenceEngine& e) : e_(e) {}
-    std::string name() const override { return "engine"; }
-    std::vector<ad::Parameter*> parameters() override { return {}; }
-    ad::Var training_loss(ad::Tape&, const data::Window&) override {
-      throw std::logic_error("inference only");
-    }
-    Matrix predict(const data::Window& w) override { return e_.predict(w); }
-    core::InferenceEngine& e_;
-  } ref_model(ref_engine);
-
+  const std::size_t n = s.ds.num_nodes(), f = s.ds.num_features();
   const std::size_t num_streams = 3;
   std::vector<std::size_t> ids;
-  std::vector<std::unique_ptr<core::OnlineForecaster>> refs;
+  std::vector<core::ReadingBuffer> refs;
   for (std::size_t k = 0; k < num_streams; ++k) {
     const std::size_t slot = 5 * k;
     ids.push_back(server.add_stream(slot));
-    refs.push_back(std::make_unique<core::OnlineForecaster>(
-        ref_model, *s.normalizer, s.ds.num_nodes(), s.ds.num_features(),
-        engine->lookback(), engine->horizon(), engine->steps_per_day(),
-        slot));
-    refs.back()->set_stuck_threshold(0);
+    refs.emplace_back(n, f, engine->lookback(), engine->steps_per_day(), slot,
+                      cfg.stuck_threshold);
   }
   for (std::size_t t = 0; t < 6; ++t) {
     for (std::size_t k = 0; k < num_streams; ++k) {
       auto [values, mask] = reading_at(s, 10 * k + t);
       server.ingest(ids[k], values, mask);
-      refs[k]->push_reading(values, mask);
+      Matrix z(n, f), m(n, f);
+      core::sanitize_reading(values, mask, *s.normalizer, z, m);
+      refs[k].push(std::move(z), std::move(m));
     }
   }
   // All three streams queried back-to-back: batched through shared engine
-  // invocations, each result equal to its single-stream reference.
+  // invocations, each result bitwise equal to its single-stream reference.
   std::vector<std::future<Matrix>> futs;
   for (std::size_t k = 0; k < num_streams; ++k) {
     futs.push_back(server.forecast_async(ids[k]));
   }
   for (std::size_t k = 0; k < num_streams; ++k) {
     const Matrix got = futs[k].get();
-    const Matrix want = refs[k]->forecast();
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_DOUBLE_EQ(got.data()[i], want.data()[i]) << "stream " << k;
+    Matrix want = ref_engine.predict(refs[k].window());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want.data()[i] = s.normalizer->denormalize(want.data()[i], 0);
     }
+    ASSERT_TRUE(got.same_shape(want));
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "stream " << k;
     EXPECT_FALSE(got.has_non_finite());
   }
   const serve::ServerStats st = server.stats();
@@ -887,6 +885,170 @@ TEST(ServeBreaker, DisabledDegradedServingSurfacesEngineFailure) {
   EXPECT_EQ(st.engine_failures, 1u);
   EXPECT_EQ(st.fallback_responses, 0u);
   EXPECT_EQ(st.responses, 0u);
+}
+
+// ---- degraded ingest (OnlineRobust) ----------------------------------------
+//
+// A live feed carries NaN/Inf readings, malformed mask bits, frozen registers
+// and outages. Each case is checked against a second stream fed what the
+// server should turn the bad reading into: the two forecasts must be equal.
+
+/// A flat original-units reading: every entry `value`, every mask bit set.
+std::pair<Matrix, Matrix> flat_reading(const ServeFixture& s, double value) {
+  return {Matrix(s.ds.num_nodes(), s.ds.num_features(), value),
+          Matrix(s.ds.num_nodes(), s.ds.num_features(), 1.0)};
+}
+
+TEST(OnlineRobust, SanitizesNonFiniteReadings) {
+  ServeFixture s = make_fixture();
+  serve::ForecastServer server(
+      std::make_shared<core::InferenceEngine>(*s.model), *s.normalizer,
+      serve::ServeConfig{});
+  const std::size_t corrupt = server.add_stream();
+  const std::size_t reported = server.add_stream();
+  auto [values, mask] = flat_reading(s, 50.0);
+  Matrix bad = values;
+  bad(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  bad(1, 2) = std::numeric_limits<double>::infinity();
+  server.ingest(corrupt, bad, mask);
+  mask(0, 0) = mask(1, 2) = 0.0;  // what sanitizing turns them into
+  server.ingest(reported, values, mask);
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.sanitized_entries, 2u);
+  EXPECT_EQ(st.coerced_mask_entries, 0u);
+  // One reading each: both windows are warm-up padded.
+  const Matrix pred = server.forecast(corrupt);
+  EXPECT_FALSE(pred.has_non_finite());
+  EXPECT_EQ(pred, server.forecast(reported));
+}
+
+TEST(OnlineRobust, CoercesMalformedMaskEntries) {
+  ServeFixture s = make_fixture();
+  serve::ForecastServer server(
+      std::make_shared<core::InferenceEngine>(*s.model), *s.normalizer,
+      serve::ServeConfig{});
+  const std::size_t malformed = server.add_stream();
+  const std::size_t reported = server.add_stream();
+  auto [values, mask] = flat_reading(s, 50.0);
+  Matrix bad = mask;
+  bad(0, 0) = 0.7;   // not in {0,1} but > 0.5 -> treated observed
+  bad(1, 1) = -3.0;  // -> treated missing
+  bad(2, 2) = std::numeric_limits<double>::quiet_NaN();  // -> missing
+  server.ingest(malformed, values, bad);
+  mask(1, 1) = mask(2, 2) = 0.0;
+  server.ingest(reported, values, mask);
+  EXPECT_EQ(server.stats().coerced_mask_entries, 3u);
+  EXPECT_EQ(server.stats().sanitized_entries, 0u);
+  EXPECT_EQ(server.forecast(malformed), server.forecast(reported));
+}
+
+TEST(OnlineRobust, StuckSensorFlaggedDemotedAndRecovers) {
+  ServeFixture s = make_fixture();
+  serve::ServeConfig cfg;
+  cfg.stuck_threshold = 3;
+  serve::ForecastServer server(
+      std::make_shared<core::InferenceEngine>(*s.model), *s.normalizer, cfg);
+  const std::size_t frozen = server.add_stream();
+  const std::size_t reported = server.add_stream();
+  for (std::size_t tick = 0; tick < 6; ++tick) {
+    auto [values, mask] =
+        flat_reading(s, 40.0 + static_cast<double>(tick));  // others jitter
+    values(2, 0) = 42.0;  // node 2's register is frozen
+    server.ingest(frozen, values, mask);
+    if (tick >= 2) {  // flagged from the 3rd repeat on: the row goes missing
+      for (std::size_t f = 0; f < mask.cols(); ++f) mask(2, f) = 0.0;
+    }
+    server.ingest(reported, values, mask);
+  }
+  // The forecast round trip also fences the loop-side demotion counter.
+  EXPECT_EQ(server.forecast(frozen), server.forecast(reported));
+  const std::size_t demoted = server.stats().stuck_demotions;
+  EXPECT_GE(demoted, 3u);
+
+  // The register thaws: the flag clears on the next changed reading.
+  auto [values, mask] = flat_reading(s, 50.0);
+  values(2, 0) = 17.0;
+  server.ingest(frozen, values, mask);
+  server.ingest(reported, values, mask);
+  EXPECT_EQ(server.forecast(frozen), server.forecast(reported));
+  EXPECT_EQ(server.stats().stuck_demotions, demoted);
+}
+
+TEST(OnlineRobust, HealthyStreamReportsNoSuspectsOrFallbacks) {
+  ServeFixture s = make_fixture();
+  serve::ServeConfig cfg;
+  cfg.stuck_threshold = 3;  // armed low: real traffic still never repeats
+  serve::ForecastServer server(
+      std::make_shared<core::InferenceEngine>(*s.model), *s.normalizer, cfg);
+  const std::size_t id = server.add_stream();
+  for (std::size_t t = 0; t < 8; ++t) {
+    auto [values, mask] = reading_at(s, t);
+    server.ingest(id, values, mask);
+  }
+  EXPECT_FALSE(server.forecast(id).has_non_finite());
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.sanitized_entries, 0u);
+  EXPECT_EQ(st.coerced_mask_entries, 0u);
+  EXPECT_EQ(st.stuck_demotions, 0u);
+  EXPECT_EQ(st.engine_failures, 0u);
+  EXPECT_EQ(st.fallback_responses, 0u);
+  EXPECT_EQ(st.scrubbed_entries, 0u);
+  EXPECT_EQ(st.responses, 1u);
+}
+
+TEST(OnlineRobust, FallsBackWhenPrimaryThrows) {
+  // The engine's very first call throws: there is no last-good forecast and
+  // no engine output to scrub, so the answer is the all-mean matrix.
+  ServeFixture s = make_fixture();
+  auto engine = std::make_shared<serve::FaultyEngine>(
+      *s.model, core::InferenceEngine::Options{},
+      serve::FaultyEngine::FaultConfig{});
+  serve::ForecastServer server(engine, *s.normalizer, serve::ServeConfig{});
+  const std::size_t id = server.add_stream();
+  auto [values, mask] = reading_at(s, 0);
+  server.ingest(id, values, mask);
+  engine->force_throw_next(1);
+  const Matrix pred = server.forecast(id);
+  ASSERT_EQ(pred.rows(), s.ds.num_nodes());
+  ASSERT_EQ(pred.cols(), engine->horizon());
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    EXPECT_EQ(pred.data()[i], s.normalizer->denormalize(0.0, 0));
+  }
+  serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.engine_failures, 1u);
+  EXPECT_EQ(st.fallback_responses, 1u);
+  EXPECT_EQ(st.scrubbed_entries, 0u);
+  // The next call reaches the engine again and is served by it.
+  EXPECT_FALSE(server.forecast(id).has_non_finite());
+  st = server.stats();
+  EXPECT_EQ(st.fallback_responses, 1u);
+  EXPECT_EQ(st.responses, 2u);
+}
+
+TEST(OnlineRobust, ForecastAfterFeedGapIsFinite) {
+  ServeFixture s = make_fixture();
+  auto engine = std::make_shared<core::InferenceEngine>(*s.model);
+  serve::ForecastServer server(engine, *s.normalizer, serve::ServeConfig{});
+  const std::size_t id = server.add_stream();
+  server.ingest_gap(id);  // a gap is a reading: the stream may forecast
+  EXPECT_FALSE(server.forecast(id).has_non_finite());
+  for (std::size_t t = 1; t < engine->lookback(); ++t) {
+    if (t % 2 == 0) {
+      auto [values, mask] = reading_at(s, t);
+      server.ingest(id, values, mask);
+    } else {
+      server.ingest_gap(id);
+    }
+  }
+  EXPECT_FALSE(server.forecast(id).has_non_finite());
+  // An outage longer than the lookback: no observation left in the window.
+  for (std::size_t t = 0; t < engine->lookback(); ++t) server.ingest_gap(id);
+  EXPECT_FALSE(server.forecast(id).has_non_finite());
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.fallback_responses, 0u);
+  EXPECT_EQ(st.sanitized_entries, 0u);
+  EXPECT_EQ(st.coerced_mask_entries, 0u);
+  EXPECT_EQ(st.responses, 3u);
 }
 
 // ---- canary-gated publish --------------------------------------------------

@@ -11,6 +11,8 @@
 // rebuild the exact architecture) followed by the parameter blob. Graphs
 // are rebuilt deterministically from the dataset + the seed stored in the
 // checkpoint.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -18,7 +20,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/online.hpp"
+#include "core/engine.hpp"
 #include "core/rihgcn.hpp"
 #include "core/trainer.hpp"
 #include "data/generators.hpp"
@@ -55,15 +57,39 @@ std::string get(const Args& a, const std::string& key,
   return it == a.end() ? fallback : it->second;
 }
 
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                           const char* expected) {
+  throw std::runtime_error("--" + key + " expects " + expected + ", got '" +
+                           value + "'");
+}
+
+/// Parses the whole token into `out` (std::from_chars takes no sign for an
+/// unsigned type, and no leading space or '+' for any type).
+template <typename T>
+bool parse_whole(const std::string& v, T& out) {
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && end == v.data() + v.size();
+}
+
 std::size_t get_size(const Args& a, const std::string& key,
                      std::size_t fallback) {
   auto it = a.find(key);
-  return it == a.end() ? fallback : std::stoull(it->second);
+  if (it == a.end()) return fallback;
+  std::size_t n = 0;
+  if (!parse_whole(it->second, n)) {
+    bad_value(key, it->second, "a non-negative integer");
+  }
+  return n;
 }
 
 double get_double(const Args& a, const std::string& key, double fallback) {
   auto it = a.find(key);
-  return it == a.end() ? fallback : std::stod(it->second);
+  if (it == a.end()) return fallback;
+  double x = 0.0;
+  if (!parse_whole(it->second, x) || !std::isfinite(x)) {
+    bad_value(key, it->second, "a finite number");
+  }
+  return x;
 }
 
 std::string require(const Args& a, const std::string& key) {
@@ -310,7 +336,10 @@ int cmd_forecast(const Args& args) {
     throw std::runtime_error("--window out of range");
   }
   const data::Window w = sampler.make_window(at);
-  const Matrix pred = r.model->predict(w);
+  // Forecast through the compiled f32 engine — the path ForecastServer
+  // serves — not the f64 training tape.
+  core::InferenceEngine engine(*r.model, {.max_batch = 1});
+  const Matrix pred = engine.predict(w);
   std::printf("forecast from timestep %zu (slot %zu):\n", at, w.slot);
   std::printf("%-6s", "node");
   for (std::size_t h = 0; h < pred.cols(); ++h) {

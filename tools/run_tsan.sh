@@ -11,6 +11,9 @@
 # admission + deadlines + the circuit breaker, and
 # ServeShutdown.RacyDrainNeverBreaksPromises races drain() against live
 # clients — both must show zero races, zero broken promises, zero hangs).
+# OnlineRobust* and ReadingBuffer* drive ForecastServer ingest with
+# corrupt readings, frozen registers and feed gaps (the loop thread demotes,
+# client threads sanitize and count).
 # The §16 parallel-execution gates ride along too: ExecPool* exercises the
 # worker pool's per-worker FIFO queues and drain-on-destruction, and
 # ServePool.StormRacesWorkersBreakerPublishAndDrain races 3 pool workers
@@ -30,7 +33,7 @@ build_dir=build-tsan
 cmake -B "${build_dir}" -S . -DRIHGCN_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j --target rihgcn_tests
 
-filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:OnlineMemo*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
+filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:ReadingBuffer*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
 
 # tools/tsan.supp: exception_ptr refcounts live in uninstrumented
 # libstdc++.so; see the file for why that one frame is a false positive.
