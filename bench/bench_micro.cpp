@@ -107,13 +107,13 @@ void BM_ChebGcnThreaded(benchmark::State& state) {
   ThreadPool::set_global_threads(threads);
   Rng rng(6);
   nn::ChebGcnLayer gcn(32, 32, 3, rng);
-  Matrix lap = rng.normal_matrix(n, n, 0.2);
-  lap = (lap + lap.transposed()) * 0.5;
+  const Matrix lap = rng.normal_matrix(n, n, 0.2);
+  const CsrMatrix csr = CsrMatrix::from_dense((lap + lap.transposed()) * 0.5);
   const Matrix x = rng.normal_matrix(n, 32, 1.0);
   for (auto _ : state) {
     for (ad::Parameter* p : gcn.parameters()) p->zero_grad();
     ad::Tape tape;
-    ad::Var y = gcn.forward(tape, tape.constant(x), lap);
+    ad::Var y = gcn.forward(tape, tape.constant(x), csr);
     tape.backward(tape.mean_all(y));
     benchmark::DoNotOptimize(y);
   }
@@ -173,12 +173,12 @@ void BM_ChebGcnForward(benchmark::State& state) {
   const std::size_t n = 20;
   Rng rng(6);
   nn::ChebGcnLayer gcn(4, 16, 3, rng);
-  Matrix lap = rng.normal_matrix(n, n, 0.2);
-  lap = (lap + lap.transposed()) * 0.5;
+  const Matrix lap = rng.normal_matrix(n, n, 0.2);
+  const CsrMatrix csr = CsrMatrix::from_dense((lap + lap.transposed()) * 0.5);
   const Matrix x = rng.normal_matrix(n, 4, 1.0);
   for (auto _ : state) {
     ad::Tape tape;
-    benchmark::DoNotOptimize(gcn.forward(tape, tape.constant(x), lap));
+    benchmark::DoNotOptimize(gcn.forward(tape, tape.constant(x), csr));
   }
 }
 BENCHMARK(BM_ChebGcnForward);
@@ -336,7 +336,7 @@ SweepGraph make_sweep_graph(std::size_t n) {
   g.n = n;
   g.lap =
       graph::RoadGraph::from_distances(ds.geo_distances).scaled_laplacian();
-  g.csr = graph::to_csr(g.lap);
+  g.csr = CsrMatrix::from_dense(g.lap);
   return g;
 }
 
@@ -663,18 +663,16 @@ void run_train_step_compare(const bench::BenchOptions& opts,
   }
   struct StepConfig {
     const char* name;
-    bool sparse;
     bool fused;
     bool guarded;
   };
   constexpr StepConfig kConfigs[] = {
-      {"train_step_dense", false, true, false},
-      {"train_step_sparse", true, true, false},
-      {"train_step_unfused", true, false, false},  // sparse, elementary cells
+      {"train_step_sparse", true, false},
+      {"train_step_unfused", false, false},  // elementary-op cells
       // Identical compute to train_step_sparse plus the NumericalGuard's
       // per-step work (loss/grad scan, EMA update, snapshot cadence) — the
       // fault-tolerance overhead budget is <= 5% of train_step_sparse @ 1T.
-      {"train_step_guarded", true, true, true},
+      {"train_step_guarded", true, true},
   };
   for (const std::size_t threads : {1, 4}) {
     ThreadPool::set_global_threads(threads);
@@ -685,7 +683,6 @@ void run_train_step_compare(const bench::BenchOptions& opts,
       mc.horizon = 3;
       mc.gcn_dim = 8;
       mc.lstm_dim = 8;
-      mc.use_sparse_graphs = sc.sparse;
       mc.use_fused_cells = sc.fused;
       core::RihgcnModel model(graphs, kNodes, ds.num_features(), mc);
       std::vector<ad::Parameter*> params = model.parameters();
@@ -709,7 +706,7 @@ void run_train_step_compare(const bench::BenchOptions& opts,
       if (&sc == &kConfigs[0]) base_ns = ns;
       std::printf("%-18s %8zu %14.0f %8.2fx\n", sc.name, threads, ns,
                   base_ns / ns);
-      if (threads == 1 && sc.sparse && !sc.guarded) {
+      if (threads == 1 && !sc.guarded) {
         // Arena health (measure_ns_per_op already warmed the pool): tape size
         // and pool misses of one more steady-state step.
         const std::size_t misses_before = tape.pool().misses();

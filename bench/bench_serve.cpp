@@ -116,7 +116,6 @@ ServeEnv make_env(std::size_t n, std::uint64_t seed) {
   mc.gcn_dim = 8;
   mc.lstm_dim = 8;
   mc.seed = seed;
-  mc.use_sparse_graphs = true;
   env.model = std::make_unique<core::RihgcnModel>(
       *env.graphs, env.ds.num_nodes(), env.ds.num_features(), mc);
   return env;

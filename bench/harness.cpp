@@ -216,8 +216,8 @@ std::unique_ptr<core::ForecastModel> make_and_train(const std::string& name,
   } else if (name == "ASTGCN") {
     model = std::make_unique<baselines::AstGcnModel>(lap, d, nb);
   } else if (name == "GraphWaveNet") {
-    model = std::make_unique<baselines::GraphWaveNetModel>(
-        lap, env.ds.num_nodes(), d, nb);
+    model = std::make_unique<baselines::GraphWaveNetModel>(env.ds.num_nodes(),
+                                                           d, nb);
   } else if (name == "FC-LSTM") {
     model = std::make_unique<baselines::FcLstmModel>(d, nb);
   } else if (name == "FC-GCN") {

@@ -69,10 +69,11 @@ Matrix FcLstmModel::predict(const data::Window& w) {
 
 // ---- FcGcnModel -------------------------------------------------------------
 
-FcGcnModel::FcGcnModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+FcGcnModel::FcGcnModel(const Matrix& geo_scaled_laplacian,
+                       std::size_t num_features,
                        const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(std::move(geo_scaled_laplacian)),
+      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
       rng_(config.seed),
       gcn_(num_features, config.hidden, config.cheb_order, rng_, "fcgcn.gcn"),
       head_(config.lookback * config.hidden, config.horizon, rng_,
@@ -106,11 +107,11 @@ Matrix FcGcnModel::predict(const data::Window& w) {
 
 // ---- GcnLstmModel -----------------------------------------------------------
 
-GcnLstmModel::GcnLstmModel(Matrix geo_scaled_laplacian,
+GcnLstmModel::GcnLstmModel(const Matrix& geo_scaled_laplacian,
                            std::size_t num_features,
                            const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(std::move(geo_scaled_laplacian)),
+      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
       rng_(config.seed),
       gcn_(num_features, config.hidden, config.cheb_order, rng_,
            "gcnlstm.gcn"),
@@ -278,10 +279,11 @@ std::vector<Matrix> FcLstmIModel::impute(const data::Window& w) {
 
 // ---- FcGcnIModel -------------------------------------------------------------
 
-FcGcnIModel::FcGcnIModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+FcGcnIModel::FcGcnIModel(const Matrix& geo_scaled_laplacian,
+                         std::size_t num_features,
                          const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(std::move(geo_scaled_laplacian)),
+      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
       num_features_(num_features),
       rng_(config.seed),
       gcn_(2 * num_features, config.hidden, config.cheb_order, rng_,
@@ -402,10 +404,11 @@ std::vector<Matrix> FcGcnIModel::impute(const data::Window& w) {
 
 // ---- AstGcnModel ----------------------------------------------------------
 
-AstGcnModel::AstGcnModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+AstGcnModel::AstGcnModel(const Matrix& geo_scaled_laplacian,
+                         std::size_t num_features,
                          const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(std::move(geo_scaled_laplacian)),
+      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
       rng_(config.seed),
       query_(num_features, config.hidden, rng_, "astgcn.q"),
       key_(num_features, config.hidden, rng_, "astgcn.k"),
@@ -469,12 +472,10 @@ Matrix AstGcnModel::predict(const data::Window& w) {
 
 // ---- GraphWaveNetModel ------------------------------------------------------
 
-GraphWaveNetModel::GraphWaveNetModel(Matrix geo_scaled_laplacian,
-                                     std::size_t num_nodes,
+GraphWaveNetModel::GraphWaveNetModel(std::size_t num_nodes,
                                      std::size_t num_features,
                                      const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(std::move(geo_scaled_laplacian)),
       rng_(config.seed),
       node_emb1_(rng_.normal_matrix(num_nodes, 8, 0.3), "gwn.emb1"),
       node_emb2_(rng_.normal_matrix(num_nodes, 8, 0.3), "gwn.emb2"),

@@ -27,6 +27,7 @@
 
 #include "core/model.hpp"
 #include "nn/layers.hpp"
+#include "tensor/csr.hpp"
 
 namespace rihgcn::baselines {
 
@@ -69,8 +70,9 @@ class FcLstmModel final : public core::ForecastModel {
 
 class FcGcnModel final : public core::ForecastModel {
  public:
-  /// `geo_scaled_laplacian` is copied; N inferred from it.
-  FcGcnModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+  /// `geo_scaled_laplacian` is converted once to CSR (tol 0); N inferred
+  /// from it.
+  FcGcnModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
              const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "FC-GCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -80,7 +82,7 @@ class FcGcnModel final : public core::ForecastModel {
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
   NeuralBaselineConfig config_;
-  Matrix lap_;
+  CsrMatrix lap_;
   Rng rng_;
   nn::ChebGcnLayer gcn_;
   nn::Linear head_;
@@ -89,7 +91,7 @@ class FcGcnModel final : public core::ForecastModel {
 
 class GcnLstmModel final : public core::ForecastModel {
  public:
-  GcnLstmModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+  GcnLstmModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
                const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "GCN-LSTM"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -99,7 +101,7 @@ class GcnLstmModel final : public core::ForecastModel {
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
   NeuralBaselineConfig config_;
-  Matrix lap_;
+  CsrMatrix lap_;
   Rng rng_;
   nn::ChebGcnLayer gcn_;
   nn::LstmCell lstm_;
@@ -145,7 +147,7 @@ class FcLstmIModel final : public core::ForecastModel {
 
 class FcGcnIModel final : public core::ForecastModel {
  public:
-  FcGcnIModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+  FcGcnIModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
               const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "FC-GCN-I"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -168,7 +170,7 @@ class FcGcnIModel final : public core::ForecastModel {
   [[nodiscard]] Pass run(Tape& tape, const data::Window& w, bool reverse);
   [[nodiscard]] Output forward(Tape& tape, const data::Window& w);
   NeuralBaselineConfig config_;
-  Matrix lap_;
+  CsrMatrix lap_;
   std::size_t num_features_;
   Rng rng_;
   nn::ChebGcnLayer gcn_;
@@ -182,7 +184,7 @@ class FcGcnIModel final : public core::ForecastModel {
 
 class AstGcnModel final : public core::ForecastModel {
  public:
-  AstGcnModel(Matrix geo_scaled_laplacian, std::size_t num_features,
+  AstGcnModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
               const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "ASTGCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -192,7 +194,7 @@ class AstGcnModel final : public core::ForecastModel {
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
   NeuralBaselineConfig config_;
-  Matrix lap_;
+  CsrMatrix lap_;
   Rng rng_;
   nn::Linear query_;
   nn::Linear key_;
@@ -205,8 +207,7 @@ class AstGcnModel final : public core::ForecastModel {
 
 class GraphWaveNetModel final : public core::ForecastModel {
  public:
-  GraphWaveNetModel(Matrix geo_scaled_laplacian, std::size_t num_nodes,
-                    std::size_t num_features,
+  GraphWaveNetModel(std::size_t num_nodes, std::size_t num_features,
                     const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "GraphWaveNet"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -216,7 +217,6 @@ class GraphWaveNetModel final : public core::ForecastModel {
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
   NeuralBaselineConfig config_;
-  Matrix lap_;
   Rng rng_;
   ad::Parameter node_emb1_;  ///< N x e — adaptive-adjacency source factors
   ad::Parameter node_emb2_;  ///< N x e

@@ -60,17 +60,16 @@ FMatrix to_f32(const Matrix& m) { return FMatrix::from(m); }
 // ---- compilation -----------------------------------------------------------
 
 InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options)
-    : InferenceEngine(model, options, nullptr, 0) {}
+    : InferenceEngine(model, options, model.laps_) {}
 
 InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options,
-                                 const HgcnBlock::SparseLaps* sub_laps,
-                                 std::size_t sub_n) {
+                                 const HgcnBlock::Laps& laps) {
   // parameters() and the module accessors are logically const (a forward
   // compile never mutates the model); the Module interface just predates a
   // const overload.
   RihgcnModel& m = const_cast<RihgcnModel&>(model);
   const RihgcnConfig& cfg = m.config_;
-  n_ = sub_laps != nullptr ? sub_n : m.graphs_.num_nodes();
+  n_ = laps.geo.rows();
   f_ = m.num_features_;
   lookback_ = cfg.lookback;
   horizon_ = cfg.horizon;
@@ -88,14 +87,14 @@ InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options,
     throw std::invalid_argument("InferenceEngine: max_batch must be >= 1");
   }
 
-  if (sub_laps != nullptr) {
-    if (n_ == 0) {
-      throw std::invalid_argument(
-          "InferenceEngine: sub-graph node count must be >= 1");
-    }
-    compile_subgraph_ops(*sub_laps);
-  } else {
-    compile_graph_ops(m);
+  if (n_ == 0) {
+    throw std::invalid_argument(
+        "InferenceEngine: graph node count must be >= 1");
+  }
+  geo_op_ = compile_csr_op(laps.geo);
+  temporal_ops_.reserve(laps.temporal.size());
+  for (const CsrMatrix& lap : laps.temporal) {
+    temporal_ops_.push_back(compile_csr_op(lap));
   }
 
   const std::size_t per_gcn = cheb_order_ + 1;  // K thetas + bias
@@ -163,6 +162,10 @@ InferenceEngine::GraphOp InferenceEngine::compile_csr_op(
   // MACs, the transposed GEMM width·N²/8 streaming ones — break-even near
   // 1/8 density. The N cap bounds the materialized L̃ᵀ (≤ 16 MiB f32);
   // city-scale k-NN graphs sit far below the density bar anyway.
+  if (lap.rows() != n_ || lap.cols() != n_) {
+    throw std::invalid_argument(
+        "InferenceEngine: every Laplacian must be N x N");
+  }
   GraphOp op;
   if (n_ <= 2048 && lap.nnz() * 8 > n_ * n_) {
     // lapT(j, i) = L̃(i, j), narrowed entry-wise exactly as FCsrMatrix::from
@@ -183,61 +186,6 @@ InferenceEngine::GraphOp InferenceEngine::compile_csr_op(
     op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
   }
   return op;
-}
-
-void InferenceEngine::compile_graph_ops(const RihgcnModel& model) {
-  const HeterogeneousGraphs& g = model.graphs_;
-  const HgcnBlock::SparseLaps& cache = model.sparse_laps_;
-  const bool use_sparse = model.config_.use_sparse_graphs;
-  auto make_op = [&](const std::optional<CsrMatrix>& cached,
-                     auto dense_lap) {
-    if (use_sparse && cached.has_value()) return compile_csr_op(*cached);
-    // No CSR cache: the graph is above the model's sparse_density_limit
-    // (or sparse mode is off) — dense enough that transposed GEMM wins.
-    GraphOp op;
-    op.dense_t = true;
-    const Matrix lap = dense_lap();
-    op.lapT = FMatrix(n_, n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        op.lapT(j, i) = static_cast<float>(lap(i, j));
-      }
-    }
-    return op;
-  };
-  geo_op_ =
-      make_op(cache.geo, [&] { return g.geographic().scaled_laplacian(); });
-  const std::optional<CsrMatrix> none;
-  const std::size_t num_m = g.num_temporal();
-  temporal_ops_.clear();
-  temporal_ops_.reserve(num_m);
-  for (std::size_t t = 0; t < num_m; ++t) {
-    temporal_ops_.push_back(
-        make_op(t < cache.temporal.size() ? cache.temporal[t] : none,
-                [&] { return g.temporal(t).scaled_laplacian(); }));
-  }
-}
-
-void InferenceEngine::compile_subgraph_ops(const HgcnBlock::SparseLaps& laps) {
-  // Same path-selection rule as compile_graph_ops, applied to the cluster's
-  // sub-CSRs (density is judged on the SUB-graph: a shard of a sparse
-  // city-scale graph can be locally dense enough for the transposed GEMM).
-  // Both apply forms accumulate each output element in the same ascending-k
-  // FMA order, so the choice never moves a bit.
-  auto make_sub_op = [&](const std::optional<CsrMatrix>& cached) {
-    if (!cached.has_value()) {
-      throw std::invalid_argument(
-          "InferenceEngine: sub-graph compilation requires every Laplacian "
-          "in CSR form");
-    }
-    return compile_csr_op(*cached);
-  };
-  geo_op_ = make_sub_op(laps.geo);
-  temporal_ops_.clear();
-  temporal_ops_.reserve(laps.temporal.size());
-  for (const std::optional<CsrMatrix>& t : laps.temporal) {
-    temporal_ops_.push_back(make_sub_op(t));
-  }
 }
 
 InferenceEngine::GcnPlan InferenceEngine::compile_gcn(

@@ -4,12 +4,11 @@
 // of that. InferenceEngine COMPILES a trained RihgcnModel into a frozen f32
 // execution plan:
 //
-//   * every weight matrix is narrowed once to FMatrix, every cached CSR
-//     Laplacian once to FCsrMatrix (dense-fallback graphs keep a dense f32
-//     Laplacian), and the HGCN interval-weight mixture is tabulated for all
-//     time-of-day slots — the engine holds no reference to the model or the
-//     graphs after construction, so a snapshot stays valid while the source
-//     model retrains;
+//   * every weight matrix is narrowed once to FMatrix, every CSR Laplacian
+//     once to a GraphOp (see there), and the HGCN interval-weight mixture
+//     is tabulated for all time-of-day slots — the engine holds no
+//     reference to the model or the graphs after construction, so a
+//     snapshot stays valid while the source model retrains;
 //   * the forward pass is a fixed schedule of simd::Kernels f32 GEMM / SpMM /
 //     elementwise calls into preallocated Workspace buffers — zero tape
 //     nodes, zero steady-state heap allocations;
@@ -62,13 +61,12 @@ class InferenceEngine {
   explicit InferenceEngine(const RihgcnModel& model)
       : InferenceEngine(model, Options{}) {}
   /// Sub-graph compilation (one ShardedEngine shard): same frozen weights as
-  /// `model`, but the graph ops come from `sub_laps` — every Laplacian in
-  /// CSR form, rows and columns restricted to one cluster's owned ∪ halo
-  /// nodes (RihgcnModel::make_clusters) — over `sub_n` nodes. Windows fed
-  /// to predict_batch must then be sub_n x F; the caller gathers the
-  /// cluster's rows. A null `sub_laps` compiles the full graph.
+  /// `model`, but the graph ops come from `laps` — one cluster's
+  /// sub-Laplacians (RihgcnModel::make_clusters), whose row count is the
+  /// shard's node count n. Windows fed to predict_batch must then be
+  /// n x F; the caller gathers the cluster's rows.
   InferenceEngine(const RihgcnModel& model, Options options,
-                  const HgcnBlock::SparseLaps* sub_laps, std::size_t sub_n);
+                  const HgcnBlock::Laps& laps);
   virtual ~InferenceEngine() = default;
 
   /// Preallocated scratch for one in-flight forward. Not thread-safe:
@@ -139,7 +137,7 @@ class InferenceEngine {
   ///   * CSR SpMM (plus the block-diagonal batched form) for genuinely
   ///     sparse graphs — city-scale k-NN Laplacians at ~1% density;
   ///   * transposed dense GEMM (`lapT`, row-major L̃ᵀ) for everything else.
-  ///     DTW temporal graphs at moderate N run 15–35% dense, where a CSR
+  ///     Dense-built graphs at moderate N run 20–70% dense, where a CSR
   ///     apply over a width-F panel degenerates into gather-bound work.
   ///     Computing outᵀ = xᵀ·L̃ᵀ instead makes the inner loop N elements
   ///     wide regardless of F. Each output element still accumulates its
@@ -174,10 +172,6 @@ class InferenceEngine {
   /// The graph op for a CSR Laplacian: transposed dense when the graph is
   /// dense enough for the GEMM to win, CSR SpMM otherwise.
   [[nodiscard]] GraphOp compile_csr_op(const CsrMatrix& lap) const;
-  void compile_graph_ops(const RihgcnModel& model);
-  /// Graph ops from a cluster's sub-Laplacian cache (every graph must be
-  /// CSR-covered; throws std::invalid_argument otherwise).
-  void compile_subgraph_ops(const HgcnBlock::SparseLaps& laps);
   [[nodiscard]] static GcnPlan compile_gcn(
       const std::vector<ad::Parameter*>& params, std::size_t offset,
       std::size_t order);

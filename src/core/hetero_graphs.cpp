@@ -44,13 +44,15 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
     throw std::invalid_argument("HeterogeneousGraphs: bad partition_slots");
   }
 
-  if (sparse_mode_) {
+  if (!sparse_mode_) {
+    geo_adj_csr_ = CsrMatrix::from_dense(geo_.adjacency());
+    geo_slap_csr_ = CsrMatrix::from_dense(geo_.scaled_laplacian());
+  } else {
     if (config.distance != ts::SeriesDistance::kDtw) {
       throw std::invalid_argument(
           "HeterogeneousGraphs: sparse mode supports DTW only");
     }
-    num_nodes_sparse_ = ds.num_nodes();
-    const std::size_t n = num_nodes_sparse_;
+    const std::size_t n = ds.num_nodes();
     ts::NeighborList nl;
     if (n > 0 && ds.geo_distances.rows() == n) {
       nl = graph::knn_from_distances(ds.geo_distances, config.knn);
@@ -135,6 +137,8 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
           ts::pairwise_series_distance(series, config.distance);
       temporal_.push_back(
           graph::RoadGraph::from_distances(dist, config.adjacency));
+      temporal_slap_csr_.push_back(
+          CsrMatrix::from_dense(temporal_.back().scaled_laplacian()));
     }
   }
 }
@@ -155,31 +159,6 @@ const graph::RoadGraph& HeterogeneousGraphs::temporal(std::size_t m) const {
         "temporal_scaled_laplacian_csr");
   }
   return temporal_.at(m);
-}
-
-const CsrMatrix& HeterogeneousGraphs::geographic_adjacency_csr() const {
-  if (!sparse_mode_) {
-    throw std::logic_error(
-        "HeterogeneousGraphs::geographic_adjacency_csr: dense mode");
-  }
-  return geo_adj_csr_;
-}
-
-const CsrMatrix& HeterogeneousGraphs::geographic_scaled_laplacian_csr() const {
-  if (!sparse_mode_) {
-    throw std::logic_error(
-        "HeterogeneousGraphs::geographic_scaled_laplacian_csr: dense mode");
-  }
-  return geo_slap_csr_;
-}
-
-const CsrMatrix& HeterogeneousGraphs::temporal_scaled_laplacian_csr(
-    std::size_t m) const {
-  if (!sparse_mode_) {
-    throw std::logic_error(
-        "HeterogeneousGraphs::temporal_scaled_laplacian_csr: dense mode");
-  }
-  return temporal_slap_csr_.at(m);
 }
 
 std::vector<double> HeterogeneousGraphs::interval_weights(

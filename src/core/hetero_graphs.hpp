@@ -54,8 +54,8 @@ struct HeteroGraphsConfig {
   /// is ever materialized. The spatial graph comes from ds.geo_distances if
   /// present, else from Euclidean k-NN over ds.coords; temporal graphs come
   /// from ts::knn_series_graph over the interval profiles. The dense
-  /// accessors (geographic()/temporal()) throw in this mode — consume
-  /// *_csr() instead. knn = 0 (default) is the unchanged dense pipeline.
+  /// accessors (geographic()/temporal()) throw in this mode. knn = 0
+  /// (default) is the dense pipeline. The *_csr() accessors answer in both.
   std::size_t knn = 0;
   /// Sparse mode only: LB_Kim/LB_Keogh pruning + early-abandon for the
   /// temporal DTW scans. Results are bitwise identical on or off.
@@ -72,10 +72,10 @@ class HeterogeneousGraphs {
                       const HeteroGraphsConfig& config, Rng& rng);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return sparse_mode_ ? num_nodes_sparse_ : geo_.num_nodes();
+    return geo_slap_csr_.rows();
   }
   [[nodiscard]] std::size_t num_temporal() const noexcept {
-    return sparse_mode_ ? temporal_slap_csr_.size() : temporal_.size();
+    return temporal_slap_csr_.size();
   }
   /// Dense accessors — throw std::logic_error in sparse mode (there is no
   /// dense graph to return; that is the point of the mode).
@@ -84,12 +84,21 @@ class HeterogeneousGraphs {
 
   /// True when built with config.knn > 0 (CSR-only graphs).
   [[nodiscard]] bool sparse_mode() const noexcept { return sparse_mode_; }
-  /// Sparse mode only: k-NN Gaussian adjacency / Chebyshev-rescaled
-  /// Laplacians in CSR form. Throw std::logic_error in dense mode.
-  [[nodiscard]] const CsrMatrix& geographic_adjacency_csr() const;
-  [[nodiscard]] const CsrMatrix& geographic_scaled_laplacian_csr() const;
+  /// Gaussian adjacency and Chebyshev-rescaled Laplacians in CSR form, the
+  /// only form the GCNs consume. Sparse mode builds them from the k-NN
+  /// lists; dense mode holds CsrMatrix::from_dense (tol 0) of the dense
+  /// matrices, so SpMM over them is bitwise equal to dense matmul.
+  [[nodiscard]] const CsrMatrix& geographic_adjacency_csr() const noexcept {
+    return geo_adj_csr_;
+  }
+  [[nodiscard]] const CsrMatrix& geographic_scaled_laplacian_csr()
+      const noexcept {
+    return geo_slap_csr_;
+  }
   [[nodiscard]] const CsrMatrix& temporal_scaled_laplacian_csr(
-      std::size_t m) const;
+      std::size_t m) const {
+    return temporal_slap_csr_.at(m);
+  }
   /// Sparse mode: DTW work counters summed over every temporal graph build
   /// (zeros in dense mode) — lets tests and benches assert pruning efficacy.
   [[nodiscard]] const ts::KnnStats& temporal_knn_stats() const noexcept {
@@ -115,9 +124,7 @@ class HeterogeneousGraphs {
   std::size_t partition_slots_ = 24;
   std::size_t steps_per_day_ = 288;
   double weight_temperature_ = 2.0;
-  // Sparse k-NN mode state (empty in dense mode).
   bool sparse_mode_ = false;
-  std::size_t num_nodes_sparse_ = 0;
   CsrMatrix geo_adj_csr_;
   CsrMatrix geo_slap_csr_;
   std::vector<CsrMatrix> temporal_slap_csr_;

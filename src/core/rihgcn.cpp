@@ -26,79 +26,22 @@ HgcnBlock::HgcnBlock(const HeterogeneousGraphs& graphs, std::size_t in_dim,
   }
 }
 
-HgcnBlock::LapVars HgcnBlock::make_lap_vars(Tape& tape) const {
-  LapVars laps;
-  laps.geo = tape.constant(graphs_.geographic().scaled_laplacian());
+HgcnBlock::Laps HgcnBlock::make_laps() const {
+  Laps laps;
+  laps.geo = graphs_.geographic_scaled_laplacian_csr();
   laps.temporal.reserve(graphs_.num_temporal());
   for (std::size_t m = 0; m < graphs_.num_temporal(); ++m) {
-    laps.temporal.push_back(
-        tape.constant(graphs_.temporal(m).scaled_laplacian()));
+    laps.temporal.push_back(graphs_.temporal_scaled_laplacian_csr(m));
   }
   return laps;
 }
 
-HgcnBlock::SparseLaps HgcnBlock::make_sparse_laps(double tol,
-                                                  double max_density) const {
-  if (graphs_.sparse_mode()) {
-    // Sparse-mode graphs only exist as CSR; the density fallback has no
-    // dense Laplacian to fall back to, so every graph is covered.
-    SparseLaps sparse;
-    sparse.geo = graphs_.geographic_scaled_laplacian_csr();
-    sparse.temporal.reserve(graphs_.num_temporal());
-    for (std::size_t m = 0; m < graphs_.num_temporal(); ++m) {
-      sparse.temporal.emplace_back(graphs_.temporal_scaled_laplacian_csr(m));
-    }
-    return sparse;
-  }
-  auto build = [tol, max_density](const Matrix& lap) -> std::optional<CsrMatrix> {
-    CsrMatrix csr = CsrMatrix::from_dense(lap, tol);
-    if (csr.density() > max_density) return std::nullopt;  // dense fallback
-    return csr;
-  };
-  SparseLaps sparse;
-  sparse.geo = build(graphs_.geographic().scaled_laplacian());
-  sparse.temporal.reserve(graphs_.num_temporal());
-  for (std::size_t m = 0; m < graphs_.num_temporal(); ++m) {
-    sparse.temporal.push_back(build(graphs_.temporal(m).scaled_laplacian()));
-  }
-  return sparse;
-}
-
-HgcnBlock::LapVars HgcnBlock::make_lap_vars(Tape& tape,
-                                            const SparseLaps& sparse) const {
-  LapVars laps;
-  if (!sparse.geo) {
-    laps.geo = tape.constant(graphs_.geographic().scaled_laplacian());
-  }
-  laps.temporal.resize(graphs_.num_temporal());
-  for (std::size_t m = 0; m < graphs_.num_temporal(); ++m) {
-    if (!sparse.temporal[m]) {
-      laps.temporal[m] = tape.constant(graphs_.temporal(m).scaled_laplacian());
-    }
-  }
-  return laps;
-}
-
-Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot) {
-  return forward(tape, x, slot, make_lap_vars(tape));
-}
-
-Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot,
-                       const LapVars& laps) {
-  return forward(tape, x, slot, laps, nullptr);
-}
-
-Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot,
-                       const LapVars& laps, const SparseLaps* sparse) {
-  Var acc = sparse && sparse->geo
-                ? geo_layer_.forward(tape, x, *sparse->geo)
-                : geo_layer_.forward(tape, x, laps.geo);
+Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot, const Laps& laps) {
+  Var acc = geo_layer_.forward(tape, x, laps.geo);
   const std::vector<double> w = graphs_.interval_weights(slot);
   for (std::size_t m = 0; m < temporal_layers_.size(); ++m) {
     if (w[m] <= 1e-8) continue;  // negligible mixture weight: skip the GCN
-    Var out = sparse && sparse->temporal[m]
-                  ? temporal_layers_[m].forward(tape, x, *sparse->temporal[m])
-                  : temporal_layers_[m].forward(tape, x, laps.temporal[m]);
+    Var out = temporal_layers_[m].forward(tape, x, laps.temporal[m]);
     acc = tape.add(acc, tape.scale(out, w[m]));
   }
   return tape.relu(acc);
@@ -126,16 +69,35 @@ std::size_t head_in_width(const RihgcnConfig& c) {
                                                : z_width(c);
 }
 
+/// Rejects sizes no module can be built with. Runs in config_'s
+/// initializer, before any module is constructed.
+const RihgcnConfig& checked(const RihgcnConfig& c) {
+  if (c.lookback == 0 || c.horizon == 0) {
+    throw std::invalid_argument("RihgcnModel: zero lookback/horizon");
+  }
+  if (c.gcn_dim == 0 || c.lstm_dim == 0) {
+    throw std::invalid_argument("RihgcnModel: zero gcn_dim/lstm_dim");
+  }
+  if (c.cheb_order == 0) {
+    throw std::invalid_argument("RihgcnModel: cheb_order must be >= 1");
+  }
+  if (c.hgcn_layers == 0 || c.hgcn_layers > 2) {
+    throw std::invalid_argument("RihgcnModel: hgcn_layers must be 1 or 2");
+  }
+  return c;
+}
+
 }  // namespace
 
 RihgcnModel::RihgcnModel(const HeterogeneousGraphs& graphs,
                          std::size_t num_nodes, std::size_t num_features,
                          const RihgcnConfig& config)
     : graphs_(graphs),
-      config_(config),
+      config_(checked(config)),
       num_features_(num_features),
       init_rng_(config.seed),
       hgcn_(graphs, num_features, config.gcn_dim, config.cheb_order, init_rng_),
+      laps_(hgcn_.make_laps()),
       hgcn2_(config.hgcn_layers >= 2
                  ? std::make_unique<HgcnBlock>(graphs, config.gcn_dim,
                                                config.gcn_dim,
@@ -157,20 +119,6 @@ RihgcnModel::RihgcnModel(const HeterogeneousGraphs& graphs,
       attn_score_(z_width(config), 1, init_rng_, "attn_score") {
   if (num_nodes != graphs.num_nodes()) {
     throw std::invalid_argument("RihgcnModel: node count mismatch with graphs");
-  }
-  if (config.lookback == 0 || config.horizon == 0) {
-    throw std::invalid_argument("RihgcnModel: zero lookback/horizon");
-  }
-  if (config.hgcn_layers == 0 || config.hgcn_layers > 2) {
-    throw std::invalid_argument("RihgcnModel: hgcn_layers must be 1 or 2");
-  }
-  if (graphs.sparse_mode() && !config_.use_sparse_graphs) {
-    throw std::invalid_argument(
-        "RihgcnModel: sparse-mode graphs (knn > 0) require use_sparse_graphs");
-  }
-  if (config_.use_sparse_graphs) {
-    sparse_laps_ =
-        hgcn_.make_sparse_laps(/*tol=*/0.0, config_.sparse_density_limit);
   }
   rnn_fwd_->set_fused(config_.use_fused_cells);
   rnn_bwd_->set_fused(config_.use_fused_cells);
@@ -200,7 +148,7 @@ std::vector<ad::Parameter*> RihgcnModel::parameters() {
 
 RihgcnModel::DirectionResult RihgcnModel::run_direction(
     Tape& tape, const data::Window& w, bool reverse,
-    const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps* sparse) {
+    const HgcnBlock::Laps& laps) {
   const std::size_t steps = config_.lookback;
   if (w.x_obs.size() != steps) {
     throw std::invalid_argument("RihgcnModel: window lookback mismatch");
@@ -238,8 +186,8 @@ RihgcnModel::DirectionResult RihgcnModel::run_direction(
                         tape.hadamard_const(est_used, inv_mask));
     const std::size_t slot =
         (w.slot + t) % graphs_.steps_per_day();
-    Var s = hgcn_.forward(tape, comp, slot, laps, sparse);
-    if (hgcn2_) s = hgcn2_->forward(tape, s, slot, laps, sparse);
+    Var s = hgcn_.forward(tape, comp, slot, laps);
+    if (hgcn2_) s = hgcn2_->forward(tape, s, slot, laps);
     Var lstm_in = tape.concat_cols(s, tape.constant(mask));
     state = lstm.step(tape, lstm_in, state);
     Var z = tape.concat_cols(s, state.h);
@@ -252,29 +200,17 @@ RihgcnModel::DirectionResult RihgcnModel::run_direction(
 
 RihgcnModel::ForwardOutput RihgcnModel::forward(Tape& tape,
                                                 const data::Window& w) {
-  return forward_impl(tape, w, nullptr, nullptr);
+  return forward_impl(tape, w, laps_, nullptr);
 }
 
 RihgcnModel::ForwardOutput RihgcnModel::forward_impl(
-    Tape& tape, const data::Window& w,
-    const HgcnBlock::SparseLaps* sparse_override,
+    Tape& tape, const data::Window& w, const HgcnBlock::Laps& laps,
     const std::vector<char>* owned_row) {
   const std::size_t steps = config_.lookback;
-  // One set of Laplacian constants per tape, shared by both directions and
-  // both stacked HGCN blocks (same underlying graphs). With the sparse cache
-  // active, CSR-covered graphs skip the tape constant entirely. A cluster
-  // override swaps in that cluster's sub-Laplacians (all CSR, so no tape
-  // constants at all).
-  const HgcnBlock::SparseLaps* sparse =
-      sparse_override != nullptr
-          ? sparse_override
-          : (config_.use_sparse_graphs ? &sparse_laps_ : nullptr);
-  const HgcnBlock::LapVars laps = sparse ? hgcn_.make_lap_vars(tape, *sparse)
-                                         : hgcn_.make_lap_vars(tape);
-  DirectionResult fwd = run_direction(tape, w, /*reverse=*/false, laps, sparse);
+  DirectionResult fwd = run_direction(tape, w, /*reverse=*/false, laps);
   DirectionResult bwd;
   if (config_.bidirectional) {
-    bwd = run_direction(tape, w, /*reverse=*/true, laps, sparse);
+    bwd = run_direction(tape, w, /*reverse=*/true, laps);
   }
 
   // ---- Imputation loss (Eq. 6) -------------------------------------------
@@ -398,36 +334,9 @@ std::vector<RihgcnModel::ClusterSpec> RihgcnModel::make_clusters(
   // Cluster-GCN approximation (DESIGN.md §13). The halo is the spatial
   // 1-hop boundary; Chebyshev order K > 1 reaches further, so halo features
   // are themselves approximate at the sub-graph border.
-  const CsrMatrix adjacency =
-      graphs_.sparse_mode()
-          ? graphs_.geographic_adjacency_csr()
-          : CsrMatrix::from_dense(graphs_.geographic().adjacency());
   const graph::ClusterPartitioner partitioner(seed);
   const graph::Clustering clustering =
-      partitioner.partition(adjacency, num_clusters);
-
-  // Full scaled Laplacians in CSR form, to extract sub-matrices from.
-  const std::size_t num_t = graphs_.num_temporal();
-  CsrMatrix geo_full;
-  std::vector<CsrMatrix> temporal_full;
-  temporal_full.reserve(num_t);
-  if (graphs_.sparse_mode()) {
-    geo_full = graphs_.geographic_scaled_laplacian_csr();
-    for (std::size_t m = 0; m < num_t; ++m) {
-      temporal_full.push_back(graphs_.temporal_scaled_laplacian_csr(m));
-    }
-  } else {
-    geo_full = sparse_laps_.geo ? *sparse_laps_.geo
-                                : CsrMatrix::from_dense(
-                                      graphs_.geographic().scaled_laplacian());
-    for (std::size_t m = 0; m < num_t; ++m) {
-      const bool cached =
-          m < sparse_laps_.temporal.size() && sparse_laps_.temporal[m];
-      temporal_full.push_back(
-          cached ? *sparse_laps_.temporal[m]
-                 : CsrMatrix::from_dense(graphs_.temporal(m).scaled_laplacian()));
-    }
-  }
+      partitioner.partition(graphs_.geographic_adjacency_csr(), num_clusters);
 
   std::vector<ClusterSpec> clusters;
   clusters.reserve(clustering.num_clusters());
@@ -447,10 +356,10 @@ std::vector<RihgcnModel::ClusterSpec> RihgcnModel::make_clusters(
         ++p;
       }
     }
-    spec.laps.geo = geo_full.submatrix(spec.nodes);
-    spec.laps.temporal.reserve(num_t);
-    for (std::size_t m = 0; m < num_t; ++m) {
-      spec.laps.temporal.emplace_back(temporal_full[m].submatrix(spec.nodes));
+    spec.laps.geo = laps_.geo.submatrix(spec.nodes);
+    spec.laps.temporal.reserve(laps_.temporal.size());
+    for (const CsrMatrix& lap : laps_.temporal) {
+      spec.laps.temporal.push_back(lap.submatrix(spec.nodes));
     }
     clusters.push_back(std::move(spec));
   }
@@ -466,7 +375,7 @@ Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,
   }
   const ClusterSpec& spec = clusters_[cluster];
   const data::Window sub = data::take_rows(w, spec.nodes);
-  ForwardOutput out = forward_impl(tape, sub, &spec.laps, &spec.owned_row);
+  ForwardOutput out = forward_impl(tape, sub, spec.laps, &spec.owned_row);
   const std::size_t n = spec.nodes.size();
   Matrix targets(n, config_.horizon);
   Matrix weights(n, config_.horizon);

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,52 +37,21 @@ class HgcnBlock : public nn::Module {
   HgcnBlock(const HeterogeneousGraphs& graphs, std::size_t in_dim,
             std::size_t out_dim, std::size_t cheb_order, Rng& rng);
 
-  /// Tape-resident Laplacian constants. The graphs are fixed per model, so a
-  /// forward pass creates these once per tape and shares them across all
-  /// lookback timesteps instead of pushing a fresh N x N constant per GCN
-  /// call (lookback x (M+1) copies). Values are unchanged; the constants
-  /// carry no gradient.
-  struct LapVars {
-    ad::Var geo;
-    std::vector<ad::Var> temporal;  ///< one per temporal graph
+  /// The scaled Laplacian of every graph in CSR form (DESIGN.md §9): the
+  /// full graphs' (make_laps) or one cluster's sub-graphs'
+  /// (RihgcnModel::make_clusters).
+  struct Laps {
+    CsrMatrix geo;
+    std::vector<CsrMatrix> temporal;  ///< one per temporal graph
   };
-  [[nodiscard]] LapVars make_lap_vars(ad::Tape& tape) const;
-
-  /// Per-MODEL sparse Laplacian cache (DESIGN.md §9): the CSR form of every
-  /// scaled Laplacian, built once and reused by every forward pass. A graph
-  /// whose density exceeds `max_density` stays dense (nullopt) — SpMM loses
-  /// to the blocked dense kernel there — so a cache can mix sparse and dense
-  /// graphs freely. With sparse-mode graphs (HeteroGraphsConfig::knn > 0)
-  /// the CSR Laplacians are copied straight from the graphs and the density
-  /// limit is ignored: CSR is the only form that exists.
-  struct SparseLaps {
-    std::optional<CsrMatrix> geo;
-    std::vector<std::optional<CsrMatrix>> temporal;  ///< one per temporal graph
-  };
-  [[nodiscard]] SparseLaps make_sparse_laps(double tol = 0.0,
-                                            double max_density = 0.5) const;
-
-  /// As make_lap_vars(), but skips the tape constants for graphs the sparse
-  /// cache covers (their Vars stay invalid) — CSR-covered graphs never touch
-  /// the tape, saving the O(N²) constant per graph per tape.
-  [[nodiscard]] LapVars make_lap_vars(ad::Tape& tape,
-                                      const SparseLaps& sparse) const;
+  /// The full graphs' Laplacians, copied from HeterogeneousGraphs.
+  [[nodiscard]] Laps make_laps() const;
 
   /// x: N x in_dim complement matrix; slot: fine time-of-day slot of the
-  /// sample (drives the temporal-graph mixture weights).
-  [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot);
-
-  /// Same, with the Laplacians already on the tape (hot path — the per-tape
-  /// LapVars are block-agnostic, any block over the same graphs can share).
+  /// sample (drives the temporal-graph mixture weights); laps: N-node
+  /// Laplacians, which must outlive the tape.
   [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot,
-                                const LapVars& laps);
-
-  /// Hot path with the sparse cache: each graph propagates via SpMM when its
-  /// CSR is present, falling back to the dense lap Var otherwise. `sparse`
-  /// may be null (all-dense). With tol = 0 CSR the result is bitwise equal
-  /// to the dense overloads. `sparse` must outlive the tape.
-  [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot,
-                                const LapVars& laps, const SparseLaps* sparse);
+                                const Laps& laps);
 
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] std::size_t out_dim() const noexcept { return out_dim_; }
@@ -114,12 +82,6 @@ struct RihgcnConfig {
   /// attention-weighted sum (paper's mentioned alternative).
   enum class Head { kConcat, kAttention };
   Head head = Head::kConcat;
-  /// Propagate Chebyshev terms through the CSR SpMM backend (DESIGN.md §9).
-  /// Bitwise identical to the dense path; off reverts to dense matmul.
-  bool use_sparse_graphs = true;
-  /// Per-graph dense fallback: graphs denser than this stay on the dense
-  /// kernels even when use_sparse_graphs is on.
-  double sparse_density_limit = 0.5;
   /// Route the recurrent cells through the fused Tape::lstm_cell/gru_cell
   /// kernels (3 tape nodes per step instead of ~17). Bitwise identical to
   /// the unfused elementary-op chain; off is for differential testing.
@@ -133,8 +95,8 @@ struct RihgcnConfig {
 class RihgcnModel : public ForecastModel, public ClusterTrainable {
  public:
   /// The serving-side inference engine (core/engine.hpp) compiles a frozen
-  /// f32 snapshot of this model — it reads the module tree and the sparse
-  /// Laplacian cache directly at compile time, never mutating anything.
+  /// f32 snapshot of this model — it reads the module tree and the CSR
+  /// Laplacians directly at compile time, never mutating anything.
   friend class InferenceEngine;
   RihgcnModel(const HeterogeneousGraphs& graphs, std::size_t num_nodes,
               std::size_t num_features, const RihgcnConfig& config);
@@ -154,7 +116,7 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
     std::vector<std::size_t> nodes;  ///< owned ∪ halo, ascending
     std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
     std::size_t num_owned = 0;
-    HgcnBlock::SparseLaps laps;      ///< sub-Laplacians, every graph in CSR
+    HgcnBlock::Laps laps;            ///< sub-Laplacians
   };
   /// The one Cluster-GCN recipe, behind both partitioned training
   /// (prepare_clusters) and the sharded inference engine: partition the
@@ -200,18 +162,18 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
     std::vector<ad::Var> estimates;  ///< estimates[t] = X̂_t; validity below
     std::vector<char> has_estimate;
   };
-  [[nodiscard]] DirectionResult run_direction(
-      ad::Tape& tape, const data::Window& w, bool reverse,
-      const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps* sparse);
+  [[nodiscard]] DirectionResult run_direction(ad::Tape& tape,
+                                              const data::Window& w,
+                                              bool reverse,
+                                              const HgcnBlock::Laps& laps);
 
-  /// Shared forward body. `sparse_override` non-null swaps in a cluster's
-  /// sub-Laplacians; `owned_row` non-null zero-weights halo rows in the
-  /// imputation/consistency losses. With both null this IS forward():
-  /// the full-graph op sequence is bitwise unchanged.
+  /// Shared forward body over `laps` (the full graphs' or a cluster's);
+  /// `owned_row` non-null zero-weights halo rows in the
+  /// imputation/consistency losses. With laps_ and a null `owned_row` this
+  /// IS forward().
   [[nodiscard]] ForwardOutput forward_impl(ad::Tape& tape,
                                            const data::Window& w,
-                                           const HgcnBlock::SparseLaps*
-                                               sparse_override,
+                                           const HgcnBlock::Laps& laps,
                                            const std::vector<char>* owned_row);
 
   const HeterogeneousGraphs& graphs_;
@@ -219,9 +181,9 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   std::size_t num_features_;
   Rng init_rng_;  ///< parameter-init stream; declared before the modules
   HgcnBlock hgcn_;
-  /// CSR of every scaled Laplacian, built once at construction (empty when
-  /// use_sparse_graphs is off). Shared by hgcn_ and hgcn2_ — same graphs.
-  HgcnBlock::SparseLaps sparse_laps_;
+  /// Every scaled Laplacian, copied once at construction. Shared by hgcn_
+  /// and hgcn2_ — same graphs.
+  HgcnBlock::Laps laps_;
   std::unique_ptr<HgcnBlock> hgcn2_;  ///< present iff hgcn_layers == 2
   std::unique_ptr<nn::RecurrentCell> rnn_fwd_;
   std::unique_ptr<nn::RecurrentCell> rnn_bwd_;

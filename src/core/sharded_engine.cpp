@@ -48,8 +48,7 @@ ShardedEngine::ShardedEngine(const RihgcnModel& model, Options options)
   for (RihgcnModel::ClusterSpec& spec :
        model.make_clusters(options.num_shards, options.seed)) {
     Shard sh;
-    sh.engine = std::make_unique<InferenceEngine>(model, eo, &spec.laps,
-                                                  spec.nodes.size());
+    sh.engine = std::make_unique<InferenceEngine>(model, eo, spec.laps);
     sh.ws = sh.engine->make_workspace();
     spec.laps = {};  // compiled to f32; free the f64 sub-CSRs shard by shard
     sh.nodes = std::move(spec.nodes);

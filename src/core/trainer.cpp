@@ -96,6 +96,9 @@ TrainReport train_model(ForecastModel& model,
   if (config.batch_size == 0) {
     throw std::invalid_argument("train_model: batch_size must be > 0");
   }
+  if (config.max_epochs == 0) {
+    throw std::invalid_argument("train_model: max_epochs must be > 0");
+  }
   if (config.num_threads == 0) {
     throw std::invalid_argument(
         "train_model: num_threads must be > 0 (1 = serial)");

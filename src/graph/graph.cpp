@@ -184,15 +184,6 @@ Matrix scaled_laplacian_from_distances(const Matrix& distances,
                                                                   opts)));
 }
 
-CsrMatrix to_csr(const Matrix& m, double tol) {
-  return CsrMatrix::from_dense(m, tol);
-}
-
-CsrMatrix scaled_laplacian_csr(const Matrix& laplacian, double lambda_max,
-                               double tol) {
-  return CsrMatrix::from_dense(scaled_laplacian(laplacian, lambda_max), tol);
-}
-
 // ---- k-NN graph pipeline for city-scale N (DESIGN.md §13) -----------------
 
 namespace {

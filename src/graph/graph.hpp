@@ -65,18 +65,6 @@ struct AdjacencyOptions {
 [[nodiscard]] Matrix scaled_laplacian_from_distances(
     const Matrix& distances, const AdjacencyOptions& opts = {});
 
-// ---- Sparse graph backend (DESIGN.md §9) ----------------------------------
-
-/// CSR form of any graph matrix, keeping entries with |v| > tol. tol = 0
-/// preserves exact nonzeros so SpMM stays bitwise equal to dense matmul.
-[[nodiscard]] CsrMatrix to_csr(const Matrix& m, double tol = 0.0);
-
-/// Chebyshev-rescaled Laplacian L̃ = 2L/λ_max − I directly in CSR form.
-/// Same estimation rule for lambda_max as scaled_laplacian().
-[[nodiscard]] CsrMatrix scaled_laplacian_csr(const Matrix& laplacian,
-                                             double lambda_max = -1.0,
-                                             double tol = 0.0);
-
 // ---- k-NN graph pipeline for city-scale N (DESIGN.md §13) -----------------
 //
 // At N = 16384 a dense N x N matrix is 2 GiB; this pipeline never builds

@@ -199,33 +199,6 @@ ChebGcnLayer::ChebGcnLayer(std::size_t in_dim, std::size_t out_dim,
   }
 }
 
-Var ChebGcnLayer::forward(Tape& tape, Var x, const Matrix& scaled_laplacian) {
-  if (scaled_laplacian.rows() != x.rows() ||
-      scaled_laplacian.cols() != x.rows()) {
-    throw ShapeError("ChebGcnLayer::forward: Laplacian/input size mismatch");
-  }
-  return forward(tape, x, tape.constant(scaled_laplacian));
-}
-
-Var ChebGcnLayer::forward(Tape& tape, Var x, Var lap) {
-  if (x.cols() != in_dim_) {
-    throw ShapeError("ChebGcnLayer::forward: input dim mismatch");
-  }
-  if (lap.rows() != x.rows() || lap.cols() != x.rows()) {
-    throw ShapeError("ChebGcnLayer::forward: Laplacian/input size mismatch");
-  }
-  // Chebyshev recurrence: Z0 = x, Z1 = L̃x, Zk = 2 L̃ Z_{k-1} − Z_{k-2}.
-  std::vector<Var> z;
-  z.reserve(order_);
-  z.push_back(x);
-  if (order_ > 1) z.push_back(tape.matmul(lap, x));
-  for (std::size_t k = 2; k < order_; ++k) {
-    z.push_back(
-        tape.sub(tape.scale(tape.matmul(lap, z[k - 1]), 2.0), z[k - 2]));
-  }
-  return mix_theta(tape, z);
-}
-
 Var ChebGcnLayer::forward(Tape& tape, Var x, const CsrMatrix& lap) {
   if (x.cols() != in_dim_) {
     throw ShapeError("ChebGcnLayer::forward: input dim mismatch");
@@ -233,9 +206,8 @@ Var ChebGcnLayer::forward(Tape& tape, Var x, const CsrMatrix& lap) {
   if (lap.rows() != x.rows() || lap.cols() != x.rows()) {
     throw ShapeError("ChebGcnLayer::forward: Laplacian/input size mismatch");
   }
-  // Same recurrence with L̃ applied via SpMM. Op structure matches the dense
-  // overload exactly, so the tape (and therefore the gradients) differ only
-  // in the kernel used for L̃·Z — which is bitwise-equal at tol = 0.
+  // Chebyshev recurrence: Z0 = x, Z1 = L̃x, Zk = 2 L̃ Z_{k-1} − Z_{k-2},
+  // then Σ_k Z_k Θ_k + b.
   std::vector<Var> z;
   z.reserve(order_);
   z.push_back(x);
@@ -243,10 +215,6 @@ Var ChebGcnLayer::forward(Tape& tape, Var x, const CsrMatrix& lap) {
   for (std::size_t k = 2; k < order_; ++k) {
     z.push_back(tape.sub(tape.scale(tape.spmm(lap, z[k - 1]), 2.0), z[k - 2]));
   }
-  return mix_theta(tape, z);
-}
-
-Var ChebGcnLayer::mix_theta(Tape& tape, const std::vector<Var>& z) {
   Var acc = tape.matmul(z[0], tape.leaf(theta_[0]));
   for (std::size_t k = 1; k < order_; ++k) {
     acc = tape.add(acc, tape.matmul(z[k], tape.leaf(theta_[k])));

@@ -162,27 +162,17 @@ class GruCell : public RecurrentCell {
 /// Order-K Chebyshev spectral graph convolution (paper Eq. 1):
 ///   y = Σ_{k=0}^{K-1} T_k(L̃) x Θ_k + b
 /// where L̃ is the rescaled Laplacian 2L/λ_max − I (built by rihgcn::graph).
-/// T_k is evaluated by the three-term recurrence, so cost is K sparse-ish
-/// matmuls; L̃ enters the tape as a constant (the graph is not trained).
+/// T_k is evaluated by the three-term recurrence, so cost is K - 1 SpMMs by
+/// L̃ (the graph is not trained) plus K dense weight matmuls.
 class ChebGcnLayer : public Module {
  public:
   ChebGcnLayer(std::size_t in_dim, std::size_t out_dim, std::size_t order,
                Rng& rng, std::string name = "cheb_gcn");
 
-  /// x: (N x in_dim), scaled_laplacian: (N x N). Wraps the Laplacian in a
-  /// fresh tape constant each call; prefer the Var overload in loops.
-  [[nodiscard]] Var forward(Tape& tape, Var x, const Matrix& scaled_laplacian);
-
-  /// Same convolution with the Laplacian already on the tape (e.g. created
-  /// once per tape and reused across timesteps — avoids lookback x (M+1)
-  /// redundant N x N constants per forward pass).
-  [[nodiscard]] Var forward(Tape& tape, Var x, Var scaled_laplacian);
-
-  /// Sparse fast path: the recurrence runs over Tape::spmm instead of dense
-  /// matmul, dropping propagation cost from O(N²·in) to O(nnz·in). With the
-  /// CSR built at tol = 0 the result is bitwise identical to the dense
-  /// overloads (see tensor/csr.hpp). The CsrMatrix must outlive the tape —
-  /// in practice it lives in the model's per-model sparse Laplacian cache.
+  /// x: (N x in_dim), scaled_laplacian: (N x N) in CSR form. The recurrence
+  /// runs over Tape::spmm, so propagation costs O(nnz·in); with the CSR
+  /// built at tol = 0 it is bitwise equal to dense matmul by L̃ (see
+  /// tensor/csr.hpp). The CsrMatrix must outlive the tape.
   [[nodiscard]] Var forward(Tape& tape, Var x,
                             const CsrMatrix& scaled_laplacian);
 
@@ -192,9 +182,6 @@ class ChebGcnLayer : public Module {
   [[nodiscard]] std::size_t out_dim() const noexcept { return out_dim_; }
 
  private:
-  /// Σ_k Z_k Θ_k + b — the part shared by the dense and sparse overloads.
-  [[nodiscard]] Var mix_theta(Tape& tape, const std::vector<Var>& z);
-
   std::size_t in_dim_;
   std::size_t out_dim_;
   std::size_t order_;

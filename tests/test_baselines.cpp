@@ -122,7 +122,7 @@ std::unique_ptr<core::ForecastModel> make_model(const std::string& kind,
   if (kind == "FC-LSTM-I") return std::make_unique<FcLstmIModel>(4, c);
   if (kind == "FC-GCN-I") return std::make_unique<FcGcnIModel>(f.lap, 4, c);
   if (kind == "ASTGCN") return std::make_unique<AstGcnModel>(f.lap, 4, c);
-  return std::make_unique<GraphWaveNetModel>(f.lap, 6, 4, c);
+  return std::make_unique<GraphWaveNetModel>(6, 4, c);
 }
 
 class NeuralBaselineTest : public ::testing::TestWithParam<std::string> {};
@@ -214,7 +214,7 @@ TEST(MeanFilledModels, DoNotImpute) {
 
 TEST(GraphWaveNet, AdaptiveAdjacencyIsTrainable) {
   Fixture f;
-  GraphWaveNetModel model(f.lap, 6, 4, f.nb_config());
+  GraphWaveNetModel model(6, 4, f.nb_config());
   for (ad::Parameter* p : model.parameters()) p->zero_grad();
   ad::Tape tape;
   tape.backward(model.training_loss(tape, f.sampler->make_window(0)));

@@ -118,19 +118,44 @@ TEST(HeteroGraphs, BadArgsThrow) {
                std::invalid_argument);
 }
 
+TEST(HeteroGraphs, DenseModeCsrAccessorsMatchFromDense) {
+  // Dense-mode graphs answer the CSR accessors with the tol-0 CSR of the
+  // matrices they built: the one form every GCN consumes.
+  Fixture f(2);
+  const HeterogeneousGraphs& g = *f.graphs;
+  ASSERT_FALSE(g.sparse_mode());
+  const auto expect_csr_of = [](const CsrMatrix& got, const Matrix& dense) {
+    const CsrMatrix want = CsrMatrix::from_dense(dense);
+    EXPECT_EQ(got.rows(), dense.rows());
+    EXPECT_EQ(got.row_ptr(), want.row_ptr());
+    EXPECT_EQ(got.col_idx(), want.col_idx());
+    EXPECT_EQ(got.values(), want.values());
+  };
+  expect_csr_of(g.geographic_adjacency_csr(), g.geographic().adjacency());
+  expect_csr_of(g.geographic_scaled_laplacian_csr(),
+                g.geographic().scaled_laplacian());
+  ASSERT_EQ(g.num_temporal(), 2u);
+  for (std::size_t m = 0; m < g.num_temporal(); ++m) {
+    expect_csr_of(g.temporal_scaled_laplacian_csr(m),
+                  g.temporal(m).scaled_laplacian());
+  }
+  EXPECT_THROW((void)g.temporal_scaled_laplacian_csr(2), std::out_of_range);
+}
+
 // ---- HgcnBlock ------------------------------------------------------------------
 
 TEST(HgcnBlock, OutputShapeAndMixing) {
   Fixture f(2);
   Rng rng(5);
   HgcnBlock block(*f.graphs, 4, 8, 2, rng);
+  const HgcnBlock::Laps laps = block.make_laps();
   ad::Tape tape;
   ad::Var x = tape.constant(Matrix(6, 4, 0.3));
-  ad::Var y = block.forward(tape, x, /*slot=*/10);
+  ad::Var y = block.forward(tape, x, /*slot=*/10, laps);
   EXPECT_EQ(tape.value(y).rows(), 6u);
   EXPECT_EQ(tape.value(y).cols(), 8u);
   // Different slots weight the temporal GCNs differently => outputs differ.
-  ad::Var y2 = block.forward(tape, x, /*slot=*/40);
+  ad::Var y2 = block.forward(tape, x, /*slot=*/40, laps);
   EXPECT_FALSE(allclose(tape.value(y), tape.value(y2), 1e-9));
 }
 
@@ -148,10 +173,11 @@ TEST(HgcnBlock, GradientFlowsThroughAllLayers) {
   Fixture f(2);
   Rng rng(7);
   HgcnBlock block(*f.graphs, 4, 3, 2, rng);
+  const HgcnBlock::Laps laps = block.make_laps();
   for (ad::Parameter* p : block.parameters()) p->zero_grad();
   ad::Tape tape;
   ad::Var x = tape.constant(Rng(8).normal_matrix(6, 4, 1.0));
-  ad::Var loss = tape.mean_all(block.forward(tape, x, 5));
+  ad::Var loss = tape.mean_all(block.forward(tape, x, 5, laps));
   tape.backward(loss);
   // Every layer participates for an in-interval slot (weights > 0).
   std::size_t touched = 0;
@@ -159,35 +185,6 @@ TEST(HgcnBlock, GradientFlowsThroughAllLayers) {
     if (p->grad().abs_max() > 0.0) ++touched;
   }
   EXPECT_GT(touched, block.parameters().size() / 2);
-}
-
-TEST(HgcnBlock, SparseLapsRespectDensityLimit) {
-  Fixture f(2);
-  Rng rng(9);
-  HgcnBlock block(*f.graphs, 4, 8, 2, rng);
-  // Limit 1.0 covers every graph; limit 0.0 covers none (dense fallback).
-  const HgcnBlock::SparseLaps all = block.make_sparse_laps(0.0, 1.0);
-  EXPECT_TRUE(all.geo.has_value());
-  ASSERT_EQ(all.temporal.size(), 2u);
-  for (const auto& t : all.temporal) EXPECT_TRUE(t.has_value());
-  EXPECT_EQ(all.geo->to_dense(), f.graphs->geographic().scaled_laplacian());
-  const HgcnBlock::SparseLaps none = block.make_sparse_laps(0.0, 0.0);
-  EXPECT_FALSE(none.geo.has_value());
-  for (const auto& t : none.temporal) EXPECT_FALSE(t.has_value());
-}
-
-TEST(HgcnBlock, SparseForwardBitwiseMatchesDense) {
-  Fixture f(2);
-  Rng rng(10);
-  HgcnBlock block(*f.graphs, 4, 8, 2, rng);
-  const HgcnBlock::SparseLaps sparse = block.make_sparse_laps(0.0, 1.0);
-  ad::Tape tape;
-  ad::Var x = tape.constant(Rng(11).normal_matrix(6, 4, 1.0));
-  const HgcnBlock::LapVars dense_laps = block.make_lap_vars(tape);
-  const HgcnBlock::LapVars skip_laps = block.make_lap_vars(tape, sparse);
-  ad::Var yd = block.forward(tape, x, 10, dense_laps);
-  ad::Var ys = block.forward(tape, x, 10, skip_laps, &sparse);
-  EXPECT_EQ(tape.value(yd), tape.value(ys));
 }
 
 // ---- RihgcnModel ----------------------------------------------------------------
@@ -334,6 +331,28 @@ TEST(Rihgcn, NodeCountMismatchThrows) {
   Fixture f;
   EXPECT_THROW(RihgcnModel(*f.graphs, 7, 4, f.model_config()),
                std::invalid_argument);
+  // Zero sizes are refused by RihgcnModel itself, before any module (whose
+  // own checks would name Linear or build an empty HGCN) is constructed.
+  const auto expect_rejected = [&f](RihgcnConfig mc) {
+    try {
+      RihgcnModel model(*f.graphs, 6, 4, mc);
+      ADD_FAILURE() << "config accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("RihgcnModel: ", 0), 0u)
+          << e.what();
+    }
+  };
+  for (std::size_t RihgcnConfig::*size :
+       {&RihgcnConfig::lookback, &RihgcnConfig::horizon,
+        &RihgcnConfig::gcn_dim, &RihgcnConfig::lstm_dim,
+        &RihgcnConfig::cheb_order, &RihgcnConfig::hgcn_layers}) {
+    RihgcnConfig mc = f.model_config();
+    mc.*size = 0;
+    expect_rejected(mc);
+  }
+  RihgcnConfig three_layers = f.model_config();
+  three_layers.hgcn_layers = 3;
+  expect_rejected(three_layers);
 }
 
 TEST(Rihgcn, SaveLoadRoundTripKeepsPredictions) {
@@ -385,16 +404,14 @@ class BackendGuard {
   BackendGuard& operator=(const BackendGuard&) = delete;
 };
 
-// End-to-end acceptance for the sparse backend: training with
-// use_sparse_graphs on and off must produce bitwise-identical losses,
-// updated parameters and predictions (tol = 0 CSR), at any thread count.
-TEST(Rihgcn, SparseAndDenseTrainingBitwiseIdentical) {
+// Whole-model training through the CSR Laplacians is kernel-pool
+// deterministic: the loss trace and a prediction after the updates are
+// bitwise equal at 1 and 4 kernel threads, with the thresholds forced low
+// so the pool really engages.
+TEST(Rihgcn, TrainingBitwiseIdenticalAcrossKernelThreads) {
   Fixture f;
-  auto train_trace = [&](bool sparse) {
-    RihgcnConfig mc = f.model_config();
-    mc.use_sparse_graphs = sparse;
-    mc.sparse_density_limit = 1.0;  // cover every graph when sparse
-    RihgcnModel model(*f.graphs, 6, 4, mc);
+  auto train_trace = [&] {
+    RihgcnModel model(*f.graphs, 6, 4, f.model_config());
     nn::AdamOptimizer opt(model.parameters());
     std::vector<double> trace;
     for (std::size_t step = 0; step < 4; ++step) {
@@ -410,11 +427,13 @@ TEST(Rihgcn, SparseAndDenseTrainingBitwiseIdentical) {
     trace.insert(trace.end(), pred.data(), pred.data() + pred.size());
     return trace;
   };
-  for (const std::size_t threads : {1u, 4u}) {
-    BackendGuard guard(threads);
-    EXPECT_EQ(train_trace(true), train_trace(false))
-        << "sparse/dense divergence at threads=" << threads;
+  std::vector<double> serial;
+  {
+    BackendGuard guard(1);
+    serial = train_trace();
   }
+  BackendGuard guard(4);
+  EXPECT_EQ(train_trace(), serial);
 }
 
 // ---- model_summary ---------------------------------------------------------

@@ -3,21 +3,23 @@
 //  * EngineParity.*  — whole-model f32 engine output vs the f64 tape
 //    predict() within the documented ULP-style bound
 //    |y32 − y64| ≤ C·eps_f32·(1 + |y64|), across every architecture branch
-//    (LSTM/GRU, concat/attention head, uni/bidirectional, 1/2 HGCN layers,
-//    sparse CSR and dense-fallback Laplacians).
+//    (LSTM/GRU, concat/attention head, uni/bidirectional, 1/2 HGCN layers)
+//    and both graph ops: the 8-node fixture's Laplacians are all above the
+//    1/8 density cutover (transposed dense GEMM), the 64-node k-NN
+//    fixture's all below it (CSR SpMM over the block-diagonal batch).
 //  * EngineBatch.*   — predict_batch over B stacked windows is BITWISE equal
 //    to B sequential batch-1 calls (every op is row- or block-local), at
-//    serial and forced-threaded kernel settings; workspace buffers never
-//    reallocate across calls.
+//    serial and forced-threaded kernel settings, for both graph ops;
+//    workspace buffers never reallocate across calls.
 //  * EngineSnapshot.* — the compiled plan is frozen: mutating the source
 //    model after compilation must not change engine output.
 //  * EngineThreads.*  — Options::num_threads row-sharding is pure
 //    scheduling: adaptive / serial / forced-K outputs are bitwise equal.
 //  * EngineSharded.*  — the cluster-sharded engine (DESIGN.md §16): one
-//    shard is bitwise the full engine, parallel shards are bitwise the
-//    serial sharded forward, multi-shard output stays near the full
-//    forward (Cluster-GCN halo truncation) and covers every node, and a
-//    forecast reads only the window's engine inputs.
+//    shard is bitwise the full engine (both fixtures), parallel shards are
+//    bitwise the serial sharded forward, multi-shard output stays near the
+//    full forward (Cluster-GCN halo truncation) and covers every node, and
+//    a forecast reads only the window's engine inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -68,10 +70,16 @@ struct EngineFixture {
   std::unique_ptr<core::RihgcnModel> model;
 };
 
-EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2) {
+/// k of the k-NN fixture: 64 nodes whose Laplacians all compile to CSR.
+constexpr std::size_t kKnn = 3;
+
+/// knn = 0: the dense-built 8-node fixture. knn > 0: a 64-node fixture with
+/// k-NN graphs, each asserted below the engine's 1/8 density cutover.
+EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2,
+                         std::size_t knn = 0) {
   EngineFixture s;
   data::PemsLikeConfig cfg;
-  cfg.num_nodes = 8;
+  cfg.num_nodes = knn > 0 ? 64 : 8;
   cfg.num_days = 2;
   cfg.steps_per_day = 48;
   cfg.seed = 11;
@@ -86,8 +94,17 @@ EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2) {
   core::HeteroGraphsConfig gcfg;
   gcfg.num_temporal_graphs = num_temporal;
   gcfg.partition_slots = 24;
+  gcfg.knn = knn;
   s.graphs = std::make_unique<core::HeterogeneousGraphs>(s.ds, train_end,
                                                          gcfg, rng);
+  if (knn > 0) {
+    const std::size_t n = s.graphs->num_nodes();
+    EXPECT_LT(s.graphs->geographic_scaled_laplacian_csr().nnz() * 8, n * n);
+    for (std::size_t m = 0; m < s.graphs->num_temporal(); ++m) {
+      EXPECT_LT(s.graphs->temporal_scaled_laplacian_csr(m).nnz() * 8, n * n)
+          << "temporal graph " << m;
+    }
+  }
   s.model = std::make_unique<core::RihgcnModel>(*s.graphs, s.ds.num_nodes(),
                                                 s.ds.num_features(), mc);
   return s;
@@ -117,8 +134,9 @@ double max_ulp_ratio(const Matrix& got, const Matrix& ref) {
   return worst;
 }
 
-void expect_parity(core::RihgcnConfig mc, std::size_t num_temporal = 2) {
-  EngineFixture s = make_setup(mc, num_temporal);
+void expect_parity(core::RihgcnConfig mc, std::size_t num_temporal = 2,
+                   std::size_t knn = 0) {
+  EngineFixture s = make_setup(mc, num_temporal, knn);
   core::InferenceEngine engine(*s.model);
   for (std::size_t start : {0u, 7u, 23u}) {
     const data::Window w = s.sampler->make_window(start);
@@ -152,10 +170,8 @@ TEST(EngineParity, UnidirectionalTwoLayerHgcn) {
   expect_parity(mc);
 }
 
-TEST(EngineParity, DenseFallbackLaplacians) {
-  core::RihgcnConfig mc = small_config();
-  mc.use_sparse_graphs = false;
-  expect_parity(mc);
+TEST(EngineParity, KnnCsrLaplacians) {
+  expect_parity(small_config(), /*num_temporal=*/2, kKnn);
 }
 
 TEST(EngineParity, NoTemporalGraphs) {
@@ -165,8 +181,8 @@ TEST(EngineParity, NoTemporalGraphs) {
 
 // ---- batched forward -------------------------------------------------------
 
-void expect_batched_bitwise(std::size_t threads) {
-  EngineFixture s = make_setup(small_config());
+void expect_batched_bitwise(std::size_t threads, std::size_t knn = 0) {
+  EngineFixture s = make_setup(small_config(), /*num_temporal=*/2, knn);
   core::InferenceEngine::Options opt;
   opt.max_batch = 6;
   core::InferenceEngine engine(*s.model, opt);
@@ -199,10 +215,12 @@ void expect_batched_bitwise(std::size_t threads) {
 
 TEST(EngineBatch, BatchedMatchesSequentialBitwiseSerial) {
   expect_batched_bitwise(1);
+  expect_batched_bitwise(1, kKnn);
 }
 
 TEST(EngineBatch, BatchedMatchesSequentialBitwiseThreaded) {
   expect_batched_bitwise(4);
+  expect_batched_bitwise(4, kKnn);
 }
 
 TEST(EngineBatch, RepeatCallsBitwiseStableAndNoRealloc) {
@@ -296,15 +314,18 @@ TEST(EngineSharded, SingleShardBitwiseMatchesFullEngine) {
   // num_shards = 1: the partition owns every node, the halo is empty, and
   // the sub-Laplacians ARE the full Laplacians — bitwise equality with the
   // plain engine is exact, not approximate.
-  EngineFixture s = make_setup(small_config());
-  core::InferenceEngine full(*s.model);
-  core::ShardedEngine::Options so;
-  so.num_shards = 1;
-  core::ShardedEngine sharded(*s.model, so);
-  EXPECT_EQ(sharded.num_shards(), 1u);
-  for (std::size_t start : {0u, 9u, 21u}) {
-    const data::Window w = s.sampler->make_window(start);
-    EXPECT_EQ(sharded.predict(w), full.predict(w)) << "window " << start;
+  for (const std::size_t knn : {std::size_t{0}, kKnn}) {
+    EngineFixture s = make_setup(small_config(), /*num_temporal=*/2, knn);
+    core::InferenceEngine full(*s.model);
+    core::ShardedEngine::Options so;
+    so.num_shards = 1;
+    core::ShardedEngine sharded(*s.model, so);
+    EXPECT_EQ(sharded.num_shards(), 1u);
+    for (std::size_t start : {0u, 9u, 21u}) {
+      const data::Window w = s.sampler->make_window(start);
+      EXPECT_EQ(sharded.predict(w), full.predict(w))
+          << "knn " << knn << " window " << start;
+    }
   }
 }
 

@@ -92,17 +92,16 @@ TEST(Degree, VectorMatchesMatrixDiagonal) {
 
 TEST(SparseBackend, ToCsrRoundTripsGraphMatrices) {
   const Matrix a = gaussian_adjacency(ring_distances(9));
-  const CsrMatrix csr = to_csr(a);
+  const CsrMatrix csr = CsrMatrix::from_dense(a);
   EXPECT_EQ(csr.to_dense(), a);
   // tol filtering drops weak edges.
-  EXPECT_LT(to_csr(a, 0.5).nnz(), csr.nnz());
+  EXPECT_LT(CsrMatrix::from_dense(a, 0.5).nnz(), csr.nnz());
 }
 
 TEST(SparseBackend, ScaledLaplacianCsrMatchesDense) {
   const Matrix a = gaussian_adjacency(ring_distances(11));
-  const Matrix lap = normalized_laplacian(a);
-  const Matrix dense = scaled_laplacian(lap);
-  EXPECT_EQ(scaled_laplacian_csr(lap).to_dense(), dense);
+  const Matrix dense = scaled_laplacian(normalized_laplacian(a));
+  EXPECT_EQ(CsrMatrix::from_dense(dense).to_dense(), dense);
 }
 
 TEST(SparseBackend, SparsityStats) {

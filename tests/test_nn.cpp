@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
+#include "tensor/csr.hpp"
 
 #include <gtest/gtest.h>
 
@@ -126,8 +127,8 @@ TEST(LstmCell, GradientCheckThroughTwoSteps) {
 TEST(ChebGcn, ForwardShape) {
   Rng rng(10);
   ChebGcnLayer gcn(3, 5, 3, rng);
+  const CsrMatrix lap = CsrMatrix::from_dense(Matrix::identity(4) * 0.5);
   ad::Tape tape;
-  Matrix lap = Matrix::identity(4) * 0.5;
   ad::Var y = gcn.forward(tape, tape.constant(Matrix(4, 3, 1.0)), lap);
   EXPECT_EQ(tape.value(y).rows(), 4u);
   EXPECT_EQ(tape.value(y).cols(), 5u);
@@ -137,11 +138,12 @@ TEST(ChebGcn, OrderOneIsPointwiseLinear) {
   // K=1 uses only T_0 = I: output must not mix nodes.
   Rng rng(11);
   ChebGcnLayer gcn(1, 1, 1, rng);
-  ad::Tape tape;
-  Matrix lap(2, 2);
-  lap(0, 1) = lap(1, 0) = 1.0;  // strong off-diagonal coupling
+  Matrix dense(2, 2);
+  dense(0, 1) = dense(1, 0) = 1.0;  // strong off-diagonal coupling
+  const CsrMatrix lap = CsrMatrix::from_dense(dense);
   Matrix x(2, 1);
   x(0, 0) = 1.0;  // node 1 has zero input
+  ad::Tape tape;
   ad::Var y = gcn.forward(tape, tape.constant(x), lap);
   // Node 1's output is exactly the bias (no contribution from node 0).
   const double bias = gcn.parameters().back()->value()(0, 0);
@@ -151,11 +153,12 @@ TEST(ChebGcn, OrderOneIsPointwiseLinear) {
 TEST(ChebGcn, HigherOrderMixesNeighbours) {
   Rng rng(12);
   ChebGcnLayer gcn(1, 1, 2, rng);
-  ad::Tape tape;
-  Matrix lap(2, 2);
-  lap(0, 1) = lap(1, 0) = 1.0;
+  Matrix dense(2, 2);
+  dense(0, 1) = dense(1, 0) = 1.0;
+  const CsrMatrix lap = CsrMatrix::from_dense(dense);
   Matrix x(2, 1);
   x(0, 0) = 1.0;
+  ad::Tape tape;
   ad::Var y = gcn.forward(tape, tape.constant(x), lap);
   const double bias = gcn.parameters().back()->value()(0, 0);
   EXPECT_NE(tape.value(y)(1, 0), bias);  // neighbour information arrived
@@ -164,10 +167,10 @@ TEST(ChebGcn, HigherOrderMixesNeighbours) {
 TEST(ChebGcn, LaplacianSizeMismatchThrows) {
   Rng rng(13);
   ChebGcnLayer gcn(3, 2, 3, rng);
+  const CsrMatrix lap = CsrMatrix::from_dense(Matrix::identity(5));
   ad::Tape tape;
-  EXPECT_THROW(
-      (void)gcn.forward(tape, tape.constant(Matrix(4, 3)), Matrix(5, 5)),
-      ShapeError);
+  EXPECT_THROW((void)gcn.forward(tape, tape.constant(Matrix(4, 3)), lap),
+               ShapeError);
 }
 
 TEST(ChebGcn, ZeroOrderThrows) {
@@ -178,8 +181,9 @@ TEST(ChebGcn, ZeroOrderThrows) {
 TEST(ChebGcn, GradientCheck) {
   Rng rng(15);
   ChebGcnLayer gcn(2, 3, 3, rng);
-  Matrix lap = rng.normal_matrix(3, 3, 0.3);
-  lap = (lap + lap.transposed()) * 0.5;  // symmetric
+  const Matrix dense = rng.normal_matrix(3, 3, 0.3);
+  const CsrMatrix lap =
+      CsrMatrix::from_dense((dense + dense.transposed()) * 0.5);  // symmetric
   const Matrix x = rng.normal_matrix(3, 2, 1.0);
   auto build = [&](ad::Tape& tape) {
     return tape.mean_all(gcn.forward(tape, tape.constant(x), lap));
@@ -196,6 +200,57 @@ TEST(ChebGcn, GradientCheck) {
   for (ad::Parameter* p : gcn.parameters()) {
     EXPECT_LT(ad::gradient_check(*p, loss_value, p->grad()), 1e-5)
         << p->name();
+  }
+}
+
+// The CSR forward against the dense Chebyshev recurrence, written out here
+// with Tape::matmul by L̃: the output, the input gradient and every
+// parameter gradient are bitwise equal (tol-0 CSR, DESIGN.md §9).
+TEST(ChebGcn, CsrForwardBitwiseMatchesDenseRecurrence) {
+  Rng rng(16);
+  const std::size_t n = 9;
+  ChebGcnLayer gcn(4, 5, 3, rng);
+  Matrix dense = rng.normal_matrix(n, n, 0.4);
+  dense = (dense + dense.transposed()) * 0.5;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if ((i + j) % 3 == 1) dense(i, j) = 0.0;  // structural zeros
+    }
+  }
+  const CsrMatrix lap = CsrMatrix::from_dense(dense);
+  ASSERT_LT(lap.nnz(), dense.size());
+  Parameter x(rng.normal_matrix(n, 4, 1.0), "x");
+  const Matrix upstream = rng.normal_matrix(n, 5, 1.0);
+  const std::vector<Parameter*> params = gcn.parameters();
+
+  // Returns the output followed by the gradients of x and of every param.
+  auto run = [&](bool use_csr) {
+    x.zero_grad();
+    for (Parameter* p : params) p->zero_grad();
+    ad::Tape tape;
+    const ad::Var xv = tape.leaf(x);
+    ad::Var y;
+    if (use_csr) {
+      y = gcn.forward(tape, xv, lap);
+    } else {
+      const ad::Var l = tape.constant(dense);
+      const ad::Var z1 = tape.matmul(l, xv);
+      const ad::Var z2 = tape.sub(tape.scale(tape.matmul(l, z1), 2.0), xv);
+      ad::Var acc = tape.matmul(xv, tape.leaf(*params[0]));
+      acc = tape.add(acc, tape.matmul(z1, tape.leaf(*params[1])));
+      acc = tape.add(acc, tape.matmul(z2, tape.leaf(*params[2])));
+      y = tape.add_row_broadcast(acc, tape.leaf(*params[3]));
+    }
+    tape.backward(tape.mean_all(tape.hadamard_const(y, upstream)));
+    std::vector<Matrix> out{tape.value(y), x.grad()};
+    for (Parameter* p : params) out.push_back(p->grad());
+    return out;
+  };
+  const std::vector<Matrix> want = run(false);
+  const std::vector<Matrix> got = run(true);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "output/gradient " << i;
   }
 }
 

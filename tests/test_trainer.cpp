@@ -136,6 +136,12 @@ TEST(Trainer, ZeroBatchSizeRejected) {
   cfg.batch_size = 0;
   EXPECT_THROW((void)train_model(model, *f.sampler, f.split, cfg),
                std::invalid_argument);
+  // Zero epochs is refused the same way, instead of returning a report
+  // whose best_val_mae is the early-stopping sentinel.
+  cfg = TrainConfig{};
+  cfg.max_epochs = 0;
+  EXPECT_THROW((void)train_model(model, *f.sampler, f.split, cfg),
+               std::invalid_argument);
 }
 
 TEST(Trainer, ZeroThreadsRejected) {

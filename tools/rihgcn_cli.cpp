@@ -82,6 +82,14 @@ std::size_t get_size(const Args& a, const std::string& key,
   return n;
 }
 
+/// get_size for sizes that must be at least 1.
+std::size_t get_count(const Args& a, const std::string& key,
+                      std::size_t fallback) {
+  const std::size_t n = get_size(a, key, fallback);
+  if (n == 0) bad_value(key, get(a, key, ""), "an integer >= 1");
+  return n;
+}
+
 double get_double(const Args& a, const std::string& key, double fallback) {
   auto it = a.find(key);
   if (it == a.end()) return fallback;
@@ -162,44 +170,49 @@ LoadedData load_and_normalize(const std::string& path) {
 int cmd_generate(const Args& args) {
   const std::string kind = get(args, "kind", "pems");
   const std::string out = require(args, "out");
+  // Every flag is checked before any data is generated.
+  const double missing = get_double(args, "missing", 0.0);
+  if (missing < 0.0 || missing >= 1.0) {
+    bad_value("missing", get(args, "missing", ""), "a rate in [0, 1)");
+  }
+  const std::string mode = get(args, "missing-mode", "reading");
+  if (mode != "entry" && mode != "reading" && mode != "block") {
+    throw std::runtime_error("unknown --missing-mode (entry|reading|block)");
+  }
+  const std::size_t block_len = get_count(args, "block-len", 12);
   data::TrafficDataset ds;
   if (kind == "pems") {
     data::PemsLikeConfig cfg;
-    cfg.num_nodes = get_size(args, "nodes", cfg.num_nodes);
-    cfg.num_days = get_size(args, "days", cfg.num_days);
-    cfg.steps_per_day = get_size(args, "steps-per-day", cfg.steps_per_day);
+    cfg.num_nodes = get_count(args, "nodes", cfg.num_nodes);
+    cfg.num_days = get_count(args, "days", cfg.num_days);
+    cfg.steps_per_day = get_count(args, "steps-per-day", cfg.steps_per_day);
     cfg.seed = get_size(args, "seed", 42);
     ds = data::generate_pems_like(cfg);
   } else if (kind == "stampede") {
     data::StampedeLikeConfig cfg;
-    cfg.num_segments = get_size(args, "nodes", cfg.num_segments);
-    cfg.num_days = get_size(args, "days", cfg.num_days);
-    cfg.steps_per_day = get_size(args, "steps-per-day", cfg.steps_per_day);
+    cfg.num_segments = get_count(args, "nodes", cfg.num_segments);
+    cfg.num_days = get_count(args, "days", cfg.num_days);
+    cfg.steps_per_day = get_count(args, "steps-per-day", cfg.steps_per_day);
     cfg.seed = get_size(args, "seed", 43);
     ds = data::generate_stampede_like(cfg);
   } else if (kind == "airquality") {
     data::AirQualityConfig cfg;
-    cfg.num_stations = get_size(args, "nodes", cfg.num_stations);
-    cfg.num_days = get_size(args, "days", cfg.num_days);
-    cfg.steps_per_day = get_size(args, "steps-per-day", cfg.steps_per_day);
+    cfg.num_stations = get_count(args, "nodes", cfg.num_stations);
+    cfg.num_days = get_count(args, "days", cfg.num_days);
+    cfg.steps_per_day = get_count(args, "steps-per-day", cfg.steps_per_day);
     cfg.seed = get_size(args, "seed", 44);
     ds = data::generate_air_quality_like(cfg);
   } else {
     throw std::runtime_error("unknown --kind (pems|stampede|airquality)");
   }
-  const double missing = get_double(args, "missing", 0.0);
   if (missing > 0.0) {
     Rng rng(get_size(args, "seed", 42) + 1);
-    const std::string mode = get(args, "missing-mode", "reading");
     if (mode == "entry") {
       data::inject_mcar(ds, missing, rng);
     } else if (mode == "reading") {
       data::inject_mcar_readings(ds, missing, rng);
-    } else if (mode == "block") {
-      data::inject_block_missing(ds, missing,
-                                 get_size(args, "block-len", 12), rng);
     } else {
-      throw std::runtime_error("unknown --missing-mode (entry|reading|block)");
+      data::inject_block_missing(ds, missing, block_len, rng);
     }
   }
   data::save_dataset_file(out, ds);

@@ -33,7 +33,7 @@ build_dir=build-tsan
 cmake -B "${build_dir}" -S . -DRIHGCN_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j --target rihgcn_tests
 
-filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:ReadingBuffer*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
+filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*TrainingBitwiseIdenticalAcrossKernelThreads*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:ReadingBuffer*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
 
 # tools/tsan.supp: exception_ptr refcounts live in uninstrumented
 # libstdc++.so; see the file for why that one frame is a false positive.
