@@ -1,33 +1,8 @@
 #include "baselines/neural.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace rihgcn::baselines {
-
-namespace {
-
-void append(std::vector<ad::Parameter*>& out, std::vector<ad::Parameter*> v) {
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-Matrix inverted(const Matrix& mask) {
-  return map(mask, [](double v) { return 1.0 - v; });
-}
-
-}  // namespace
-
-Var build_prediction_loss(Tape& tape, Var prediction, const data::Window& w,
-                          std::size_t horizon) {
-  const std::size_t n = tape.value(prediction).rows();
-  Matrix targets(n, horizon);
-  Matrix weights(n, horizon);
-  for (std::size_t t = 0; t < horizon; ++t) {
-    targets.set_cols(t, w.y.at(t));
-    weights.set_cols(t, w.y_mask.at(t));
-  }
-  return tape.masked_mae(prediction, targets, weights);
-}
 
 // ---- FcLstmModel -----------------------------------------------------------
 
@@ -40,6 +15,7 @@ FcLstmModel::FcLstmModel(std::size_t num_features,
             "fclstm.head") {}
 
 Var FcLstmModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   const std::size_t n = w.x_obs.front().rows();
   nn::LstmCell::State state = lstm_.initial_state(tape, n);
   std::vector<Var> hs;
@@ -52,14 +28,11 @@ Var FcLstmModel::forward(Tape& tape, const data::Window& w) {
 }
 
 std::vector<ad::Parameter*> FcLstmModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, lstm_.parameters());
-  append(out, head_.parameters());
-  return out;
+  return nn::collect_parameters({&lstm_, &head_});
 }
 
 Var FcLstmModel::training_loss(Tape& tape, const data::Window& w) {
-  return build_prediction_loss(tape, forward(tape, w), w, config_.horizon);
+  return core::joint_loss(tape, w, forward(tape, w));
 }
 
 Matrix FcLstmModel::predict(const data::Window& w) {
@@ -80,6 +53,7 @@ FcGcnModel::FcGcnModel(const Matrix& geo_scaled_laplacian,
             "fcgcn.head") {}
 
 Var FcGcnModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   std::vector<Var> ss;
   ss.reserve(config_.lookback);
   for (std::size_t t = 0; t < config_.lookback; ++t) {
@@ -90,14 +64,11 @@ Var FcGcnModel::forward(Tape& tape, const data::Window& w) {
 }
 
 std::vector<ad::Parameter*> FcGcnModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, gcn_.parameters());
-  append(out, head_.parameters());
-  return out;
+  return nn::collect_parameters({&gcn_, &head_});
 }
 
 Var FcGcnModel::training_loss(Tape& tape, const data::Window& w) {
-  return build_prediction_loss(tape, forward(tape, w), w, config_.horizon);
+  return core::joint_loss(tape, w, forward(tape, w));
 }
 
 Matrix FcGcnModel::predict(const data::Window& w) {
@@ -120,6 +91,7 @@ GcnLstmModel::GcnLstmModel(const Matrix& geo_scaled_laplacian,
             "gcnlstm.head") {}
 
 Var GcnLstmModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   const std::size_t n = w.x_obs.front().rows();
   nn::LstmCell::State state = lstm_.initial_state(tape, n);
   std::vector<Var> hs;
@@ -133,15 +105,11 @@ Var GcnLstmModel::forward(Tape& tape, const data::Window& w) {
 }
 
 std::vector<ad::Parameter*> GcnLstmModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, gcn_.parameters());
-  append(out, lstm_.parameters());
-  append(out, head_.parameters());
-  return out;
+  return nn::collect_parameters({&gcn_, &lstm_, &head_});
 }
 
 Var GcnLstmModel::training_loss(Tape& tape, const data::Window& w) {
-  return build_prediction_loss(tape, forward(tape, w), w, config_.horizon);
+  return core::joint_loss(tape, w, forward(tape, w));
 }
 
 Matrix GcnLstmModel::predict(const data::Window& w) {
@@ -154,7 +122,6 @@ Matrix GcnLstmModel::predict(const data::Window& w) {
 FcLstmIModel::FcLstmIModel(std::size_t num_features,
                            const NeuralBaselineConfig& config)
     : config_(config),
-      num_features_(num_features),
       rng_(config.seed),
       lstm_f_(2 * num_features, config.hidden, rng_, "fclstmi.lstm_f"),
       lstm_b_(2 * num_features, config.hidden, rng_, "fclstmi.lstm_b"),
@@ -163,108 +130,38 @@ FcLstmIModel::FcLstmIModel(std::size_t num_features,
       head_(config.lookback * config.hidden * (config.bidirectional ? 2 : 1),
             config.horizon, rng_, "fclstmi.head") {}
 
-FcLstmIModel::Pass FcLstmIModel::run(Tape& tape, const data::Window& w,
-                                     bool reverse) {
-  const std::size_t steps = config_.lookback;
+core::ImputingForward FcLstmIModel::forward(Tape& tape,
+                                            const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   const std::size_t n = w.x_obs.front().rows();
-  nn::LstmCell& lstm = reverse ? lstm_b_ : lstm_f_;
-  nn::Linear& estimator = reverse ? est_b_ : est_f_;
-  Pass pass;
-  pass.h.resize(steps);
-  pass.estimates.resize(steps);
-  pass.has_estimate.assign(steps, 0);
-  Var zero_est = tape.constant(Matrix(n, num_features_));
-  Var prev = zero_est;
-  bool have = false;
-  nn::LstmCell::State state = lstm.initial_state(tape, n);
-  for (std::size_t k = 0; k < steps; ++k) {
-    const std::size_t t = reverse ? steps - 1 - k : k;
-    Var est_used = zero_est;
-    if (have) {
-      pass.estimates[t] = prev;
-      pass.has_estimate[t] = 1;
-      est_used = prev;
-    }
-    Var comp = tape.add(tape.constant(w.x_obs[t]),
-                        tape.hadamard_const(est_used, inverted(w.x_mask[t])));
-    Var input = tape.concat_cols(comp, tape.constant(w.x_mask[t]));
-    state = lstm.step(tape, input, state);
-    pass.h[t] = state.h;
-    prev = estimator.forward(tape, state.h);
-    have = true;
-  }
-  return pass;
-}
-
-FcLstmIModel::Output FcLstmIModel::forward(Tape& tape, const data::Window& w) {
-  const std::size_t steps = config_.lookback;
-  Pass f = run(tape, w, false);
-  Pass b;
-  if (config_.bidirectional) b = run(tape, w, true);
-  Output out;
-  Var acc;
-  auto accumulate = [&](Var term) {
-    acc = out.has_imp ? tape.add(acc, term) : term;
-    out.has_imp = true;
+  // Per step: the direction's LSTM reads [X̃_t | M_t]; z_t is its h_t.
+  const auto encoder = [&](bool reverse) -> core::StepEncoder {
+    nn::LstmCell& lstm = reverse ? lstm_b_ : lstm_f_;
+    return [&, state = lstm.initial_state(tape, n)](Var comp,
+                                                    std::size_t t) mutable {
+      state = lstm.step(
+          tape, tape.concat_cols(comp, tape.constant(w.x_mask[t])), state);
+      return state.h;
+    };
   };
-  out.complement.reserve(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    const bool hf = f.has_estimate[t] != 0;
-    const bool hb = config_.bidirectional && b.has_estimate[t] != 0;
-    Var est;
-    bool have = false;
-    if (hf && hb) {
-      est = tape.scale(tape.add(f.estimates[t], b.estimates[t]), 0.5);
-      have = true;
-    } else if (hf || hb) {
-      est = hf ? f.estimates[t] : b.estimates[t];
-      have = true;
-    }
-    if (have) {
-      accumulate(tape.masked_mae(est, w.x_obs[t], w.x_mask[t]));
-      if (hf && hb) {
-        accumulate(tape.weighted_l1_between(f.estimates[t], b.estimates[t],
-                                            inverted(w.x_mask[t])));
-      }
-      const Matrix& est_val = tape.value(est);
-      Matrix comp = w.x_obs[t];
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        if (w.x_mask[t].data()[i] < 0.5) comp.data()[i] = est_val.data()[i];
-      }
-      out.complement.push_back(std::move(comp));
-    } else {
-      out.complement.push_back(w.x_obs[t]);
-    }
-  }
-  if (out.has_imp) {
-    out.imp_loss = tape.scale(acc, 1.0 / static_cast<double>(steps));
-  }
-  std::vector<Var> zs(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    zs[t] = config_.bidirectional ? tape.concat_cols(f.h[t], b.h[t]) : f.h[t];
-  }
-  out.prediction = head_.forward(tape, tape.concat_cols_many(zs));
+  core::ImputingForward out = core::impute_recurrently(
+      tape, w, encoder, est_f_, config_.bidirectional ? &est_b_ : nullptr,
+      /*consistency=*/true, /*trainable=*/true);
+  out.prediction = head_.forward(tape, tape.concat_cols_many(out.features));
   return out;
 }
 
 std::vector<ad::Parameter*> FcLstmIModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, lstm_f_.parameters());
-  append(out, est_f_.parameters());
-  if (config_.bidirectional) {
-    append(out, lstm_b_.parameters());
-    append(out, est_b_.parameters());
-  }
-  append(out, head_.parameters());
-  return out;
+  std::vector<nn::Module*> modules{&lstm_f_, &est_f_};
+  if (config_.bidirectional) modules.insert(modules.end(), {&lstm_b_, &est_b_});
+  modules.push_back(&head_);
+  return nn::collect_parameters(modules);
 }
 
 Var FcLstmIModel::training_loss(Tape& tape, const data::Window& w) {
-  Output out = forward(tape, w);
-  Var pred_loss =
-      build_prediction_loss(tape, out.prediction, w, config_.horizon);
-  if (!out.has_imp || config_.lambda == 0.0) return pred_loss;
-  return tape.affine_combine(pred_loss, 1.0, out.imp_loss, config_.lambda);
+  const core::ImputingForward out = forward(tape, w);
+  return core::joint_loss(tape, w, out.prediction, out.imputation_loss,
+                          config_.lambda);
 }
 
 Matrix FcLstmIModel::predict(const data::Window& w) {
@@ -284,7 +181,6 @@ FcGcnIModel::FcGcnIModel(const Matrix& geo_scaled_laplacian,
                          const NeuralBaselineConfig& config)
     : config_(config),
       lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
-      num_features_(num_features),
       rng_(config.seed),
       gcn_(2 * num_features, config.hidden, config.cheb_order, rng_,
            "fcgcni.gcn"),
@@ -293,103 +189,33 @@ FcGcnIModel::FcGcnIModel(const Matrix& geo_scaled_laplacian,
       head_(config.lookback * config.hidden * (config.bidirectional ? 2 : 1),
             config.horizon, rng_, "fcgcni.head") {}
 
-FcGcnIModel::Pass FcGcnIModel::run(Tape& tape, const data::Window& w,
-                                   bool reverse) {
-  const std::size_t steps = config_.lookback;
-  const std::size_t n = w.x_obs.front().rows();
-  nn::Linear& estimator = reverse ? est_b_ : est_f_;
-  Pass pass;
-  pass.s.resize(steps);
-  pass.estimates.resize(steps);
-  pass.has_estimate.assign(steps, 0);
-  Var zero_est = tape.constant(Matrix(n, num_features_));
-  Var prev = zero_est;
-  bool have = false;
-  for (std::size_t k = 0; k < steps; ++k) {
-    const std::size_t t = reverse ? steps - 1 - k : k;
-    Var est_used = zero_est;
-    if (have) {
-      pass.estimates[t] = prev;
-      pass.has_estimate[t] = 1;
-      est_used = prev;
-    }
-    Var comp = tape.add(tape.constant(w.x_obs[t]),
-                        tape.hadamard_const(est_used, inverted(w.x_mask[t])));
-    Var input = tape.concat_cols(comp, tape.constant(w.x_mask[t]));
-    Var s = tape.relu(gcn_.forward(tape, input, lap_));
-    pass.s[t] = s;
-    prev = estimator.forward(tape, s);
-    have = true;
-  }
-  return pass;
-}
-
-FcGcnIModel::Output FcGcnIModel::forward(Tape& tape, const data::Window& w) {
-  const std::size_t steps = config_.lookback;
-  Pass f = run(tape, w, false);
-  Pass b;
-  if (config_.bidirectional) b = run(tape, w, true);
-  Output out;
-  Var acc;
-  auto accumulate = [&](Var term) {
-    acc = out.has_imp ? tape.add(acc, term) : term;
-    out.has_imp = true;
+core::ImputingForward FcGcnIModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
+  // Per step, both directions: z_t = ReLU(GCN([X̃_t | M_t])).
+  const auto encoder = [&](bool) -> core::StepEncoder {
+    return [&](Var comp, std::size_t t) {
+      return tape.relu(gcn_.forward(
+          tape, tape.concat_cols(comp, tape.constant(w.x_mask[t])), lap_));
+    };
   };
-  out.complement.reserve(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    const bool hf = f.has_estimate[t] != 0;
-    const bool hb = config_.bidirectional && b.has_estimate[t] != 0;
-    Var est;
-    bool have = false;
-    if (hf && hb) {
-      est = tape.scale(tape.add(f.estimates[t], b.estimates[t]), 0.5);
-      have = true;
-    } else if (hf || hb) {
-      est = hf ? f.estimates[t] : b.estimates[t];
-      have = true;
-    }
-    if (have) {
-      accumulate(tape.masked_mae(est, w.x_obs[t], w.x_mask[t]));
-      if (hf && hb) {
-        accumulate(tape.weighted_l1_between(f.estimates[t], b.estimates[t],
-                                            inverted(w.x_mask[t])));
-      }
-      const Matrix& est_val = tape.value(est);
-      Matrix comp = w.x_obs[t];
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        if (w.x_mask[t].data()[i] < 0.5) comp.data()[i] = est_val.data()[i];
-      }
-      out.complement.push_back(std::move(comp));
-    } else {
-      out.complement.push_back(w.x_obs[t]);
-    }
-  }
-  if (out.has_imp) {
-    out.imp_loss = tape.scale(acc, 1.0 / static_cast<double>(steps));
-  }
-  std::vector<Var> zs(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    zs[t] = config_.bidirectional ? tape.concat_cols(f.s[t], b.s[t]) : f.s[t];
-  }
-  out.prediction = head_.forward(tape, tape.concat_cols_many(zs));
+  core::ImputingForward out = core::impute_recurrently(
+      tape, w, encoder, est_f_, config_.bidirectional ? &est_b_ : nullptr,
+      /*consistency=*/true, /*trainable=*/true);
+  out.prediction = head_.forward(tape, tape.concat_cols_many(out.features));
   return out;
 }
 
 std::vector<ad::Parameter*> FcGcnIModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, gcn_.parameters());
-  append(out, est_f_.parameters());
-  if (config_.bidirectional) append(out, est_b_.parameters());
-  append(out, head_.parameters());
-  return out;
+  std::vector<nn::Module*> modules{&gcn_, &est_f_};
+  if (config_.bidirectional) modules.push_back(&est_b_);
+  modules.push_back(&head_);
+  return nn::collect_parameters(modules);
 }
 
 Var FcGcnIModel::training_loss(Tape& tape, const data::Window& w) {
-  Output out = forward(tape, w);
-  Var pred_loss =
-      build_prediction_loss(tape, out.prediction, w, config_.horizon);
-  if (!out.has_imp || config_.lambda == 0.0) return pred_loss;
-  return tape.affine_combine(pred_loss, 1.0, out.imp_loss, config_.lambda);
+  const core::ImputingForward out = forward(tape, w);
+  return core::joint_loss(tape, w, out.prediction, out.imputation_loss,
+                          config_.lambda);
 }
 
 Matrix FcGcnIModel::predict(const data::Window& w) {
@@ -419,6 +245,7 @@ AstGcnModel::AstGcnModel(const Matrix& geo_scaled_laplacian,
       head_(config.hidden, config.horizon, rng_, "astgcn.head") {}
 
 Var AstGcnModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   const std::size_t steps = config_.lookback;
   const double inv_sqrt =
       1.0 / std::sqrt(static_cast<double>(config_.hidden));
@@ -436,33 +263,16 @@ Var AstGcnModel::forward(Tape& tape, const data::Window& w) {
     ss[t] = tape.relu(tape.add(attended, conv));
   }
   // Temporal attention: per-node softmax over the lookback steps.
-  std::vector<Var> scores(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    scores[t] = temporal_score_.forward(tape, ss[t]);
-  }
-  Var alpha = tape.softmax_rows(tape.concat_cols_many(scores));
-  Var mixed;
-  for (std::size_t t = 0; t < steps; ++t) {
-    Var weighted =
-        tape.mul_col_broadcast(ss[t], tape.slice_cols(alpha, t, t + 1));
-    mixed = t == 0 ? weighted : tape.add(mixed, weighted);
-  }
-  return head_.forward(tape, mixed);
+  return head_.forward(tape, nn::attention_pool(tape, temporal_score_, ss));
 }
 
 std::vector<ad::Parameter*> AstGcnModel::parameters() {
-  std::vector<ad::Parameter*> out;
-  append(out, query_.parameters());
-  append(out, key_.parameters());
-  append(out, value_.parameters());
-  append(out, gcn_.parameters());
-  append(out, temporal_score_.parameters());
-  append(out, head_.parameters());
-  return out;
+  return nn::collect_parameters(
+      {&query_, &key_, &value_, &gcn_, &temporal_score_, &head_});
 }
 
 Var AstGcnModel::training_loss(Tape& tape, const data::Window& w) {
-  return build_prediction_loss(tape, forward(tape, w), w, config_.horizon);
+  return core::joint_loss(tape, w, forward(tape, w));
 }
 
 Matrix AstGcnModel::predict(const data::Window& w) {
@@ -494,6 +304,7 @@ GraphWaveNetModel::GraphWaveNetModel(std::size_t num_nodes,
             "gwn.head") {}
 
 Var GraphWaveNetModel::forward(Tape& tape, const data::Window& w) {
+  core::check_window(w, config_.lookback, config_.horizon, name());
   const std::size_t steps = config_.lookback;
   const std::size_t n = w.x_obs.front().rows();
   // Adaptive adjacency from learned node embeddings (Graph WaveNet's
@@ -535,23 +346,16 @@ Var GraphWaveNetModel::forward(Tape& tape, const data::Window& w) {
 
 std::vector<ad::Parameter*> GraphWaveNetModel::parameters() {
   std::vector<ad::Parameter*> out{&node_emb1_, &node_emb2_};
-  append(out, input_proj_.parameters());
-  append(out, tcn1_filter_curr_.parameters());
-  append(out, tcn1_filter_prev_.parameters());
-  append(out, tcn1_gate_curr_.parameters());
-  append(out, tcn1_gate_prev_.parameters());
-  append(out, tcn2_filter_curr_.parameters());
-  append(out, tcn2_filter_prev_.parameters());
-  append(out, tcn2_gate_curr_.parameters());
-  append(out, tcn2_gate_prev_.parameters());
-  append(out, spatial1_.parameters());
-  append(out, spatial2_.parameters());
-  append(out, head_.parameters());
+  const std::vector<ad::Parameter*> layers = nn::collect_parameters(
+      {&input_proj_, &tcn1_filter_curr_, &tcn1_filter_prev_, &tcn1_gate_curr_,
+       &tcn1_gate_prev_, &tcn2_filter_curr_, &tcn2_filter_prev_,
+       &tcn2_gate_curr_, &tcn2_gate_prev_, &spatial1_, &spatial2_, &head_});
+  out.insert(out.end(), layers.begin(), layers.end());
   return out;
 }
 
 Var GraphWaveNetModel::training_loss(Tape& tape, const data::Window& w) {
-  return build_prediction_loss(tape, forward(tape, w), w, config_.horizon);
+  return core::joint_loss(tape, w, forward(tape, w));
 }
 
 Matrix GraphWaveNetModel::predict(const data::Window& w) {

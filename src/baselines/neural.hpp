@@ -14,11 +14,15 @@
 //                    adjacency from node embeddings + gated dilated temporal
 //                    convolutions (Wu et al. 2019's mechanisms).
 //
-// Recurrent-imputation variants (ablations of RIHGCN; estimates stay in the
-// autodiff graph exactly as in the full model):
-//   * FcLstmIModel — temporal-only recurrent imputation (BRITS-like).
-//   * FcGcnIModel  — spatial-only recurrent imputation.
+// Recurrent-imputation variants (ablations of RIHGCN): the same recipe as
+// the full model (core/recurrent_imputation.hpp — trainable estimates, the
+// Eq. 6 consistency term, L = L_c + λ·L_m) with a smaller encoder:
+//   * FcLstmIModel — temporal-only: an LSTM over [X̃_t | M_t] (BRITS-like).
+//   * FcGcnIModel  — spatial-only: a GCN over [X̃_t | M_t].
 //   * GCN-LSTM-I   — use core::RihgcnModel with zero temporal graphs.
+//
+// Every model here trains on core::joint_loss and rejects a window whose
+// length differs from its lookback/horizon (core::check_window).
 #pragma once
 
 #include <cstddef>
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "core/recurrent_imputation.hpp"
 #include "nn/layers.hpp"
 #include "tensor/csr.hpp"
 
@@ -43,11 +48,6 @@ struct NeuralBaselineConfig {
   bool bidirectional = true;   ///< -I variants impute in both directions
   std::uint64_t seed = 21;
 };
-
-/// Shared scaffolding: target/weight assembly + masked-MAE prediction loss.
-[[nodiscard]] Var build_prediction_loss(Tape& tape, Var prediction,
-                                        const data::Window& w,
-                                        std::size_t horizon);
 
 // ---- Mean-filled models ----------------------------------------------------
 
@@ -121,21 +121,9 @@ class FcLstmIModel final : public core::ForecastModel {
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
  private:
-  struct Pass {
-    std::vector<Var> h;
-    std::vector<Var> estimates;
-    std::vector<char> has_estimate;
-  };
-  struct Output {
-    Var prediction;
-    Var imp_loss;
-    bool has_imp = false;
-    std::vector<Matrix> complement;
-  };
-  [[nodiscard]] Pass run(Tape& tape, const data::Window& w, bool reverse);
-  [[nodiscard]] Output forward(Tape& tape, const data::Window& w);
+  [[nodiscard]] core::ImputingForward forward(Tape& tape,
+                                              const data::Window& w);
   NeuralBaselineConfig config_;
-  std::size_t num_features_;
   Rng rng_;
   nn::LstmCell lstm_f_;
   nn::LstmCell lstm_b_;
@@ -156,22 +144,10 @@ class FcGcnIModel final : public core::ForecastModel {
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
  private:
-  struct Pass {
-    std::vector<Var> s;
-    std::vector<Var> estimates;
-    std::vector<char> has_estimate;
-  };
-  struct Output {
-    Var prediction;
-    Var imp_loss;
-    bool has_imp = false;
-    std::vector<Matrix> complement;
-  };
-  [[nodiscard]] Pass run(Tape& tape, const data::Window& w, bool reverse);
-  [[nodiscard]] Output forward(Tape& tape, const data::Window& w);
+  [[nodiscard]] core::ImputingForward forward(Tape& tape,
+                                              const data::Window& w);
   NeuralBaselineConfig config_;
   CsrMatrix lap_;
-  std::size_t num_features_;
   Rng rng_;
   nn::ChebGcnLayer gcn_;
   nn::Linear est_f_;

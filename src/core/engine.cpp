@@ -27,8 +27,7 @@ void gemm_acc(const float* a, std::size_t rows, std::size_t k, const float* b,
   if (threads != 1 && !ThreadPool::in_parallel_region()) {
     if (threads == 0) {
       const std::size_t flops = rows * k * m;
-      dispatch = flops >= ParallelTuning::min_matmul_flops &&
-                 flops >= ParallelTuning::serial_cutover_flops;
+      dispatch = flops >= ParallelTuning::min_matmul_flops;
     } else {
       dispatch = true;
       grain = (rows + threads - 1) / threads;
@@ -254,8 +253,7 @@ void InferenceEngine::apply_lap(const GraphOp& g, const float* x, float* out,
     if (num_threads_ != 1 && !ThreadPool::in_parallel_region()) {
       if (num_threads_ == 0) {
         const std::size_t work = g.csr.nnz() * batch * width;
-        dispatch = work >= ParallelTuning::min_matmul_flops &&
-                   work >= ParallelTuning::serial_cutover_flops;
+        dispatch = work >= ParallelTuning::min_matmul_flops;
       } else {
         dispatch = true;
         grain = (rows + num_threads_ - 1) / num_threads_;

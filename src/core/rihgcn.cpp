@@ -125,200 +125,56 @@ RihgcnModel::RihgcnModel(const HeterogeneousGraphs& graphs,
 }
 
 std::vector<ad::Parameter*> RihgcnModel::parameters() {
-  std::vector<ad::Parameter*> out = hgcn_.parameters();
-  if (hgcn2_) {
-    const auto extra = hgcn2_->parameters();
-    out.insert(out.end(), extra.begin(), extra.end());
-  }
-  auto append = [&out](std::vector<ad::Parameter*> v) {
-    out.insert(out.end(), v.begin(), v.end());
-  };
-  append(rnn_fwd_->parameters());
-  append(est_fwd_.parameters());
+  std::vector<nn::Module*> modules{&hgcn_};
+  if (hgcn2_) modules.push_back(hgcn2_.get());
+  modules.insert(modules.end(), {rnn_fwd_.get(), &est_fwd_});
   if (config_.bidirectional) {
-    append(rnn_bwd_->parameters());
-    append(est_bwd_.parameters());
+    modules.insert(modules.end(), {rnn_bwd_.get(), &est_bwd_});
   }
-  append(head_.parameters());
+  modules.push_back(&head_);
   if (config_.head == RihgcnConfig::Head::kAttention) {
-    append(attn_score_.parameters());
+    modules.push_back(&attn_score_);
   }
-  return out;
+  return nn::collect_parameters(modules);
 }
 
-RihgcnModel::DirectionResult RihgcnModel::run_direction(
-    Tape& tape, const data::Window& w, bool reverse,
-    const HgcnBlock::Laps& laps) {
-  const std::size_t steps = config_.lookback;
-  if (w.x_obs.size() != steps) {
-    throw std::invalid_argument("RihgcnModel: window lookback mismatch");
-  }
-  const std::size_t n = w.x_obs.front().rows();
-  nn::RecurrentCell& lstm = reverse ? *rnn_bwd_ : *rnn_fwd_;
-  nn::Linear& estimator = reverse ? est_bwd_ : est_fwd_;
-
-  DirectionResult result;
-  result.z.resize(steps);
-  result.estimates.resize(steps);
-  result.has_estimate.assign(steps, 0);
-
-  Var zero_est = tape.constant(Matrix(n, num_features_));
-  Var prev_estimate = zero_est;  // X̂ at the first visited step is zero
-  bool have_estimate = false;
-  nn::RecurrentCell::State state = lstm.initial_state(tape, n);
-
-  for (std::size_t k = 0; k < steps; ++k) {
-    const std::size_t t = reverse ? steps - 1 - k : k;
-    const Matrix& mask = w.x_mask[t];
-    Matrix inv_mask = map(mask, [](double v) { return 1.0 - v; });
-    Var est_used = zero_est;
-    if (have_estimate) {
-      result.estimates[t] = prev_estimate;
-      result.has_estimate[t] = 1;
-      // Ablation: detaching the estimate turns joint training into the
-      // classic two-step impute-then-predict pipeline.
-      est_used = config_.trainable_imputation
-                     ? prev_estimate
-                     : tape.constant(tape.value(prev_estimate));
-    }
-    // Complement (Eq. 3): x_obs is already truth ⊙ mask.
-    Var comp = tape.add(tape.constant(w.x_obs[t]),
-                        tape.hadamard_const(est_used, inv_mask));
-    const std::size_t slot =
-        (w.slot + t) % graphs_.steps_per_day();
-    Var s = hgcn_.forward(tape, comp, slot, laps);
-    if (hgcn2_) s = hgcn2_->forward(tape, s, slot, laps);
-    Var lstm_in = tape.concat_cols(s, tape.constant(mask));
-    state = lstm.step(tape, lstm_in, state);
-    Var z = tape.concat_cols(s, state.h);
-    result.z[t] = z;
-    prev_estimate = estimator.forward(tape, z);
-    have_estimate = true;
-  }
-  return result;
-}
-
-RihgcnModel::ForwardOutput RihgcnModel::forward(Tape& tape,
-                                                const data::Window& w) {
+ImputingForward RihgcnModel::forward(Tape& tape, const data::Window& w) {
   return forward_impl(tape, w, laps_, nullptr);
 }
 
-RihgcnModel::ForwardOutput RihgcnModel::forward_impl(
+ImputingForward RihgcnModel::forward_impl(
     Tape& tape, const data::Window& w, const HgcnBlock::Laps& laps,
     const std::vector<char>* owned_row) {
-  const std::size_t steps = config_.lookback;
-  DirectionResult fwd = run_direction(tape, w, /*reverse=*/false, laps);
-  DirectionResult bwd;
-  if (config_.bidirectional) {
-    bwd = run_direction(tape, w, /*reverse=*/true, laps);
-  }
-
-  // ---- Imputation loss (Eq. 6) -------------------------------------------
-  ForwardOutput out;
-  Var imp_acc;
-  bool have_imp = false;
-  auto accumulate = [&](Var term) {
-    imp_acc = have_imp ? tape.add(imp_acc, term) : term;
-    have_imp = true;
+  check_window(w, config_.lookback, config_.horizon, name());
+  const std::size_t n = w.x_obs.front().rows();
+  // Per step: S_t = HGCN(X̃_t), the cell reads [S_t | M_t], and
+  // Z_t = [S_t | H_t] (Eq. 4) feeds the estimator and the head.
+  const auto encoder = [&](bool reverse) -> StepEncoder {
+    nn::RecurrentCell& cell = reverse ? *rnn_bwd_ : *rnn_fwd_;
+    return [&, state = cell.initial_state(tape, n)](Var comp,
+                                                    std::size_t t) mutable {
+      const std::size_t slot = (w.slot + t) % graphs_.steps_per_day();
+      Var s = hgcn_.forward(tape, comp, slot, laps);
+      if (hgcn2_) s = hgcn2_->forward(tape, s, slot, laps);
+      state = cell.step(tape, tape.concat_cols(s, tape.constant(w.x_mask[t])),
+                        state);
+      return tape.concat_cols(s, state.h);
+    };
   };
-  out.complement.reserve(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    const bool hf = fwd.has_estimate[t] != 0;
-    const bool hb = config_.bidirectional && bwd.has_estimate[t] != 0;
-    Var est_avg;
-    bool have_avg = false;
-    if (hf && hb) {
-      est_avg = tape.scale(tape.add(fwd.estimates[t], bwd.estimates[t]), 0.5);
-      have_avg = true;
-    } else if (hf) {
-      est_avg = fwd.estimates[t];
-      have_avg = true;
-    } else if (hb) {
-      est_avg = bwd.estimates[t];
-      have_avg = true;
-    }
-    if (have_avg) {
-      // Halo rows of a cluster sub-window contribute features upstream but
-      // never loss; zeroing their weight rows keeps masked_mae (which
-      // normalizes by the weight sum) restricted to owned nodes.
-      const auto zero_halo_rows = [owned_row](Matrix m) {
-        const std::size_t cols = m.cols();
-        for (std::size_t i = 0; i < m.rows(); ++i) {
-          if (!(*owned_row)[i]) {
-            std::fill(m.data() + i * cols, m.data() + (i + 1) * cols, 0.0);
-          }
-        }
-        return m;
-      };
-      // First term: error of the estimate against observed entries.
-      if (owned_row == nullptr) {
-        accumulate(tape.masked_mae(est_avg, w.x_obs[t], w.x_mask[t]));
-      } else {
-        accumulate(tape.masked_mae(est_avg, w.x_obs[t],
-                                   zero_halo_rows(w.x_mask[t])));
-      }
-      if (hf && hb && config_.use_consistency) {
-        Matrix inv_mask =
-            map(w.x_mask[t], [](double v) { return 1.0 - v; });
-        if (owned_row != nullptr) inv_mask = zero_halo_rows(std::move(inv_mask));
-        accumulate(tape.weighted_l1_between(fwd.estimates[t],
-                                            bwd.estimates[t], inv_mask));
-      }
-      // Imputation output: observed where observed, estimate elsewhere.
-      const Matrix& est_val = tape.value(est_avg);
-      Matrix comp = w.x_obs[t];
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        if (w.x_mask[t].data()[i] < 0.5) comp.data()[i] = est_val.data()[i];
-      }
-      out.complement.push_back(std::move(comp));
-    } else {
-      out.complement.push_back(w.x_obs[t]);
-    }
-  }
-  if (have_imp) {
-    out.imputation_loss =
-        tape.scale(imp_acc, 1.0 / static_cast<double>(steps));
-    out.has_imputation_loss = true;
-  }
-
-  // ---- Prediction head ------------------------------------------------------
-  std::vector<Var> zs(steps);
-  for (std::size_t t = 0; t < steps; ++t) {
-    zs[t] = config_.bidirectional ? tape.concat_cols(fwd.z[t], bwd.z[t])
-                                  : fwd.z[t];
-  }
-  if (config_.head == RihgcnConfig::Head::kConcat) {
-    out.prediction = head_.forward(tape, tape.concat_cols_many(zs));
-  } else {
-    std::vector<Var> scores(steps);
-    for (std::size_t t = 0; t < steps; ++t) {
-      scores[t] = attn_score_.forward(tape, zs[t]);
-    }
-    Var alpha = tape.softmax_rows(tape.concat_cols_many(scores));  // N x T
-    Var mixed;
-    for (std::size_t t = 0; t < steps; ++t) {
-      Var weighted =
-          tape.mul_col_broadcast(zs[t], tape.slice_cols(alpha, t, t + 1));
-      mixed = t == 0 ? weighted : tape.add(mixed, weighted);
-    }
-    out.prediction = head_.forward(tape, mixed);
-  }
+  ImputingForward out = impute_recurrently(
+      tape, w, encoder, est_fwd_, config_.bidirectional ? &est_bwd_ : nullptr,
+      config_.use_consistency, config_.trainable_imputation, owned_row);
+  out.prediction = head_.forward(
+      tape, config_.head == RihgcnConfig::Head::kConcat
+                ? tape.concat_cols_many(out.features)
+                : nn::attention_pool(tape, attn_score_, out.features));
   return out;
 }
 
 Var RihgcnModel::training_loss(Tape& tape, const data::Window& w) {
-  ForwardOutput out = forward(tape, w);
-  const std::size_t n = tape.value(out.prediction).rows();
-  Matrix targets(n, config_.horizon);
-  Matrix weights(n, config_.horizon);
-  for (std::size_t t = 0; t < config_.horizon; ++t) {
-    targets.set_cols(t, w.y.at(t));
-    weights.set_cols(t, w.y_mask.at(t));
-  }
-  Var pred_loss = tape.masked_mae(out.prediction, targets, weights);
-  if (!out.has_imputation_loss || config_.lambda == 0.0) return pred_loss;
-  return tape.affine_combine(pred_loss, 1.0, out.imputation_loss,
-                             config_.lambda);
+  const ImputingForward out = forward(tape, w);
+  return joint_loss(tape, w, out.prediction, out.imputation_loss,
+                    config_.lambda);
 }
 
 void RihgcnModel::prepare_clusters(std::size_t num_clusters,
@@ -375,35 +231,21 @@ Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,
   }
   const ClusterSpec& spec = clusters_[cluster];
   const data::Window sub = data::take_rows(w, spec.nodes);
-  ForwardOutput out = forward_impl(tape, sub, spec.laps, &spec.owned_row);
-  const std::size_t n = spec.nodes.size();
-  Matrix targets(n, config_.horizon);
-  Matrix weights(n, config_.horizon);
-  for (std::size_t t = 0; t < config_.horizon; ++t) {
-    targets.set_cols(t, sub.y.at(t));
-    weights.set_cols(t, sub.y_mask.at(t));
-  }
-  // Halo rows contribute features, never loss.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!spec.owned_row[i]) {
-      for (std::size_t t = 0; t < config_.horizon; ++t) weights(i, t) = 0.0;
-    }
-  }
-  Var pred_loss = tape.masked_mae(out.prediction, targets, weights);
-  if (!out.has_imputation_loss || config_.lambda == 0.0) return pred_loss;
-  return tape.affine_combine(pred_loss, 1.0, out.imputation_loss,
-                             config_.lambda);
+  const ImputingForward out =
+      forward_impl(tape, sub, spec.laps, &spec.owned_row);
+  return joint_loss(tape, sub, out.prediction, out.imputation_loss,
+                    config_.lambda, &spec.owned_row);
 }
 
 Matrix RihgcnModel::predict(const data::Window& w) {
   scratch_tape_.reset();
-  ForwardOutput out = forward(scratch_tape_, w);
+  ImputingForward out = forward(scratch_tape_, w);
   return scratch_tape_.value(out.prediction);
 }
 
 std::vector<Matrix> RihgcnModel::impute(const data::Window& w) {
   scratch_tape_.reset();
-  ForwardOutput out = forward(scratch_tape_, w);
+  ImputingForward out = forward(scratch_tape_, w);
   return std::move(out.complement);
 }
 

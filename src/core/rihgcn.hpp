@@ -10,6 +10,8 @@
 //    estimates stay in the autodiff graph so they receive delayed gradients
 //    (the paper's "trainable variable" training strategy). The joint loss is
 //    L = L_c + λ·L_m with the bi-directional consistency term (Eq. 6/7).
+//    The recipe itself lives in core/recurrent_imputation.hpp; this model
+//    supplies the HGCN+LSTM encoder and the head.
 //
 // Ablation switches in RihgcnConfig turn the model into the paper's reduced
 // variants: bidirectional=false, use_consistency=false,
@@ -24,6 +26,7 @@
 
 #include "core/hetero_graphs.hpp"
 #include "core/model.hpp"
+#include "core/recurrent_imputation.hpp"
 #include "nn/layers.hpp"
 #include "tensor/csr.hpp"
 
@@ -145,36 +148,16 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   [[nodiscard]] const RihgcnConfig& config() const noexcept { return config_; }
 
   /// Full forward pass products (exposed for tests/ablations).
-  struct ForwardOutput {
-    ad::Var prediction;       ///< N x horizon
-    ad::Var imputation_loss;  ///< scalar L_m
-    bool has_imputation_loss = false;
-    /// Complement series X̃_t combining observed data with the mean of the
-    /// directional estimates — the model's imputation output (VALUES, not
-    /// tape nodes).
-    std::vector<Matrix> complement;
-  };
-  [[nodiscard]] ForwardOutput forward(ad::Tape& tape, const data::Window& w);
+  [[nodiscard]] ImputingForward forward(ad::Tape& tape, const data::Window& w);
 
  private:
-  struct DirectionResult {
-    std::vector<ad::Var> z;          ///< per step, N x (p+q)
-    std::vector<ad::Var> estimates;  ///< estimates[t] = X̂_t; validity below
-    std::vector<char> has_estimate;
-  };
-  [[nodiscard]] DirectionResult run_direction(ad::Tape& tape,
-                                              const data::Window& w,
-                                              bool reverse,
-                                              const HgcnBlock::Laps& laps);
-
   /// Shared forward body over `laps` (the full graphs' or a cluster's);
   /// `owned_row` non-null zero-weights halo rows in the
   /// imputation/consistency losses. With laps_ and a null `owned_row` this
   /// IS forward().
-  [[nodiscard]] ForwardOutput forward_impl(ad::Tape& tape,
-                                           const data::Window& w,
-                                           const HgcnBlock::Laps& laps,
-                                           const std::vector<char>* owned_row);
+  [[nodiscard]] ImputingForward forward_impl(
+      ad::Tape& tape, const data::Window& w, const HgcnBlock::Laps& laps,
+      const std::vector<char>* owned_row);
 
   const HeterogeneousGraphs& graphs_;
   RihgcnConfig config_;

@@ -12,11 +12,6 @@ Matrix xavier_uniform(Rng& rng, std::size_t fan_in, std::size_t fan_out) {
   return rng.uniform_matrix(fan_in, fan_out, -a, a);
 }
 
-Matrix he_normal(Rng& rng, std::size_t fan_in, std::size_t fan_out) {
-  const double s = std::sqrt(2.0 / static_cast<double>(fan_in));
-  return rng.normal_matrix(fan_in, fan_out, s);
-}
-
 std::size_t Module::num_parameters() {
   std::size_t n = 0;
   for (const Parameter* p : parameters()) n += p->size();
@@ -230,34 +225,25 @@ std::vector<Parameter*> ChebGcnLayer::parameters() {
   return out;
 }
 
-// ---- Mlp -----------------------------------------------------------------
+// ---- Attention pooling ------------------------------------------------------
 
-Mlp::Mlp(const std::vector<std::size_t>& dims, Rng& rng, std::string name) {
-  if (dims.size() < 2) throw std::invalid_argument("Mlp: need >=2 dims");
-  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    layers_.emplace_back(dims[i], dims[i + 1], rng,
-                         name + ".fc" + std::to_string(i));
+Var attention_pool(Tape& tape, Linear& score, const std::vector<Var>& zs) {
+  std::vector<Var> scores(zs.size());
+  for (std::size_t t = 0; t < zs.size(); ++t) {
+    scores[t] = score.forward(tape, zs[t]);
   }
-}
-
-Var Mlp::forward(Tape& tape, Var x) {
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i].forward(tape, x);
-    if (i + 1 < layers_.size()) x = tape.tanh(x);
+  Var alpha = tape.softmax_rows(tape.concat_cols_many(scores));  // N x T
+  Var mixed;
+  for (std::size_t t = 0; t < zs.size(); ++t) {
+    Var weighted =
+        tape.mul_col_broadcast(zs[t], tape.slice_cols(alpha, t, t + 1));
+    mixed = t == 0 ? weighted : tape.add(mixed, weighted);
   }
-  return x;
-}
-
-std::vector<Parameter*> Mlp::parameters() {
-  std::vector<Parameter*> out;
-  for (auto& l : layers_) {
-    for (Parameter* p : l.parameters()) out.push_back(p);
-  }
-  return out;
+  return mixed;
 }
 
 std::vector<Parameter*> collect_parameters(
-    std::initializer_list<Module*> modules) {
+    const std::vector<Module*>& modules) {
   std::vector<Parameter*> out;
   for (Module* m : modules) {
     for (Parameter* p : m->parameters()) out.push_back(p);

@@ -7,7 +7,8 @@
 //
 // These are exactly the blocks the paper composes (§III): a generalized
 // Chebyshev graph convolution (Eq. 1), a batched LSTM cell shared across
-// nodes (Eq. 4), and linear projections (Eq. 5 / the FC prediction head).
+// nodes (Eq. 4), linear projections (Eq. 5 / the FC prediction head) and
+// the temporal attention pooling of the attention heads.
 #pragma once
 
 #include <memory>
@@ -25,8 +26,6 @@ using ad::Var;
 
 /// Xavier/Glorot uniform init: U(-a, a) with a = sqrt(6/(fan_in+fan_out)).
 Matrix xavier_uniform(Rng& rng, std::size_t fan_in, std::size_t fan_out);
-/// He/Kaiming normal init for ReLU layers.
-Matrix he_normal(Rng& rng, std::size_t fan_in, std::size_t fan_out);
 
 /// Anything that owns trainable parameters.
 class Module {
@@ -189,21 +188,14 @@ class ChebGcnLayer : public Module {
   Parameter bias_;                ///< 1 x out_dim
 };
 
-/// Simple MLP: a stack of Linear layers with tanh between (not after the
-/// last). Used by baselines' prediction heads.
-class Mlp : public Module {
- public:
-  Mlp(const std::vector<std::size_t>& dims, Rng& rng, std::string name = "mlp");
+/// Temporal attention pooling over per-step features zs[t] (N x C each):
+/// α = row-softmax of [score(z_0) | ... | score(z_{T-1})] (N x T), and the
+/// result is Σ_t α_t ⊙ z_t (N x C) — each node weighs its own steps.
+[[nodiscard]] Var attention_pool(Tape& tape, Linear& score,
+                                 const std::vector<Var>& zs);
 
-  [[nodiscard]] Var forward(Tape& tape, Var x);
-  [[nodiscard]] std::vector<Parameter*> parameters() override;
-
- private:
-  std::vector<Linear> layers_;
-};
-
-/// Collect parameters from several modules into one flat list.
+/// Collect parameters from several modules into one flat list, in order.
 [[nodiscard]] std::vector<Parameter*> collect_parameters(
-    std::initializer_list<Module*> modules);
+    const std::vector<Module*>& modules);
 
 }  // namespace rihgcn::nn

@@ -17,8 +17,7 @@ namespace {
 // count, and `work` ~ nnz * m decides whether pool dispatch is worth it.
 template <typename Body>
 void for_csr_rows(std::size_t rows, std::size_t work, Body&& body) {
-  if (work < ParallelTuning::min_matmul_flops ||
-      work < ParallelTuning::serial_cutover_flops) {
+  if (work < ParallelTuning::min_matmul_flops) {
     body(std::size_t{0}, rows);
     return;
   }

@@ -78,7 +78,6 @@ void fmatmul_accumulate(const FMatrix& a, const FMatrix& b, FMatrix& out) {
   float* cp = out.data();
   const std::size_t flops = n * k * m;
   if (flops < ParallelTuning::min_matmul_flops ||
-      flops < ParallelTuning::serial_cutover_flops ||
       ThreadPool::in_parallel_region()) {
     kern.smatmul_rows(ap, bp, cp, k, m, 0, n);
     return;
@@ -115,7 +114,6 @@ void fspmm_into(const FCsrMatrix& a, const FMatrix& b, FMatrix& out) {
   };
   const std::size_t work = a.nnz() * m;
   if (work < ParallelTuning::min_matmul_flops ||
-      work < ParallelTuning::serial_cutover_flops ||
       ThreadPool::in_parallel_region()) {
     row_body(0, n);
     return;

@@ -41,14 +41,12 @@ void for_elems(std::size_t n, Body&& body) {
 }
 
 // Row-partitioned dispatch for the matmul family. `flops` ~ n*k*m decides
-// whether pool dispatch is worth it; the row grain is fixed so partition
-// boundaries are thread-count independent. Jobs under the serial cut-over
-// run inline regardless — small-N dispatch costs more than it buys (see
-// ParallelTuning::serial_cutover_flops).
+// whether pool dispatch is worth it (ParallelTuning::min_matmul_flops —
+// small-N dispatch costs more than it buys); the row grain is fixed so
+// partition boundaries are thread-count independent.
 template <typename Body>
 void for_rows(std::size_t rows, std::size_t flops, Body&& body) {
-  if (flops < ParallelTuning::min_matmul_flops ||
-      flops < ParallelTuning::serial_cutover_flops) {
+  if (flops < ParallelTuning::min_matmul_flops) {
     body(std::size_t{0}, rows);
     return;
   }

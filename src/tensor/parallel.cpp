@@ -1,6 +1,7 @@
 #include "tensor/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
@@ -12,8 +13,8 @@ namespace rihgcn {
 
 namespace {
 
-// Depth of chunk/task execution on this thread; > 0 means a parallel_for
-// issued now must run inline (reentrancy guard).
+// Depth of chunk execution on this thread; > 0 means a parallel_for issued
+// now must run inline (reentrancy guard).
 thread_local int tl_region_depth = 0;
 
 struct ScopedRegion {
@@ -53,7 +54,6 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     stop_ = true;
-    tasks_.clear();  // pending fire-and-forget work is discarded
   }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
@@ -126,76 +126,22 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-double ThreadPool::parallel_reduce(std::size_t begin, std::size_t end,
-                                   std::size_t grain, double init,
-                                   const ChunkReducer& chunk_fn) {
-  if (end <= begin) return init;
-  if (grain == 0) grain = 1;
-  const std::size_t num_chunks = (end - begin + grain - 1) / grain;
-  std::vector<double> partials(num_chunks, 0.0);
-  parallel_for(begin, end, grain, [&](std::size_t b, std::size_t e) {
-    partials[(b - begin) / grain] = chunk_fn(b, e);
-  });
-  double acc = init;
-  for (const double p : partials) acc += p;  // ascending chunk order
-  return acc;
-}
-
-void ThreadPool::enqueue(std::function<void()> task) {
-  if (workers_.empty()) {
-    ScopedRegion region;
-    try {
-      task();
-    } catch (...) {
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (stop_) return;
-    tasks_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  idle_cv_.wait(lk, [&] { return tasks_.empty() && active_tasks_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lk(mutex_);
   for (;;) {
-    work_cv_.wait(lk, [&] { return stop_ || !jobs_.empty() || !tasks_.empty(); });
+    work_cv_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
     if (stop_) return;
-    if (!jobs_.empty()) {
-      RangeJob* job = jobs_.front();
-      const std::size_t c =
-          job->next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job->num_chunks) {
-        // Exhausted: drop it so we don't spin; the issuer also erases it.
-        if (!jobs_.empty() && jobs_.front() == job) jobs_.pop_front();
-        continue;
-      }
-      lk.unlock();
-      run_chunk(*job, c);
-      lk.lock();
+    RangeJob* job = jobs_.front();
+    const std::size_t c =
+        job->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job->num_chunks) {
+      // Exhausted: drop it so we don't spin; the issuer also erases it.
+      jobs_.pop_front();
       continue;
     }
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop_front();
-    ++active_tasks_;
     lk.unlock();
-    {
-      ScopedRegion region;
-      try {
-        task();
-      } catch (...) {
-      }
-    }
+    run_chunk(*job, c);
     lk.lock();
-    --active_tasks_;
-    if (tasks_.empty() && active_tasks_ == 0) idle_cv_.notify_all();
   }
 }
 
@@ -277,23 +223,20 @@ namespace {
 // fraction of running it, and small matrices stay on the serial path.
 constexpr std::size_t kDefaultMinElems = std::size_t{1} << 16;
 constexpr std::size_t kDefaultElemGrain = std::size_t{1} << 15;
-constexpr std::size_t kDefaultMinMatmulFlops = std::size_t{1} << 19;
+constexpr std::size_t kDefaultMinMatmulFlops = std::size_t{1} << 22;
 constexpr std::size_t kDefaultMatmulRowGrain = 16;
-constexpr std::size_t kDefaultSerialCutoverFlops = std::size_t{1} << 22;
 }  // namespace
 
 std::size_t ParallelTuning::min_elems = kDefaultMinElems;
 std::size_t ParallelTuning::elem_grain = kDefaultElemGrain;
 std::size_t ParallelTuning::min_matmul_flops = kDefaultMinMatmulFlops;
 std::size_t ParallelTuning::matmul_row_grain = kDefaultMatmulRowGrain;
-std::size_t ParallelTuning::serial_cutover_flops = kDefaultSerialCutoverFlops;
 
 void ParallelTuning::reset() noexcept {
   min_elems = kDefaultMinElems;
   elem_grain = kDefaultElemGrain;
   min_matmul_flops = kDefaultMinMatmulFlops;
   matmul_row_grain = kDefaultMatmulRowGrain;
-  serial_cutover_flops = kDefaultSerialCutoverFlops;
 }
 
 }  // namespace rihgcn

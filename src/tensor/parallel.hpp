@@ -1,6 +1,7 @@
-// Fixed-size thread pool and deterministic data-parallel primitives for the
-// tensor kernels (blocked matmul, elementwise ops, transpose) and the
-// autodiff tape's backward loops.
+// Fixed-size thread pool with one primitive, the synchronous chunked
+// parallel_for, behind the tensor kernels (blocked matmul, SpMM,
+// elementwise ops, transpose), the autodiff tape's backward loops, the k-NN
+// graph scans and the trainer's batch workers.
 //
 // Determinism contract (DESIGN.md §8 "Parallel execution model")
 //  * parallel_for partitions [begin, end) into chunks of `grain` elements.
@@ -9,9 +10,6 @@
 //  * Kernel bodies write disjoint outputs and each output element is
 //    produced entirely inside one chunk, so results are bit-for-bit
 //    identical for every thread count, including fully serial execution.
-//  * parallel_reduce combines per-chunk partial results strictly in
-//    ascending chunk order, so floating-point rounding does not depend on
-//    the thread count either (it does depend on `grain`, which is fixed).
 //
 // Sizing: the process-wide pool (ThreadPool::global()) reads the
 // RIHGCN_THREADS environment variable once at first use; unset falls back to
@@ -20,7 +18,6 @@
 // that calls parallel_for participates.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -31,15 +28,14 @@
 
 namespace rihgcn {
 
-/// Work-stealing-free fixed-size thread pool. parallel_for/parallel_reduce
-/// are synchronous (they return when every chunk has run); enqueue() is
-/// fire-and-forget for independent background tasks.
+/// Work-stealing-free fixed-size thread pool. parallel_for is synchronous:
+/// it returns when every chunk has run.
 ///
 /// Thread safety: parallel_for may be called concurrently from several
 /// non-pool threads (each call is an independent job; the trainer's
 /// data-parallel workers rely on this). A parallel_for issued from inside a
-/// running chunk or task executes inline and serially (reentrancy guard) —
-/// nesting never deadlocks and never oversubscribes.
+/// running chunk executes inline and serially (reentrancy guard) — nesting
+/// never deadlocks and never oversubscribes.
 class ThreadPool {
  public:
   /// `num_threads` == total concurrency (callers participate); a pool of
@@ -62,22 +58,8 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const RangeBody& body);
 
-  /// chunk_fn maps a chunk [b, e) to its partial result; partials are
-  /// combined as ((init + r0) + r1) + ... in ascending chunk order.
-  using ChunkReducer = std::function<double(std::size_t, std::size_t)>;
-  [[nodiscard]] double parallel_reduce(std::size_t begin, std::size_t end,
-                                       std::size_t grain, double init,
-                                       const ChunkReducer& chunk_fn);
-
-  /// Fire-and-forget task. Tasks still queued when the pool is destroyed
-  /// are discarded (tasks already running are completed first); exceptions
-  /// escaping a task are swallowed. Runs inline if the pool has no workers.
-  void enqueue(std::function<void()> task);
-  /// Block until the enqueue() queue is empty and no task is running.
-  void wait_idle();
-
-  /// True while the calling thread is executing a chunk body or an enqueued
-  /// task — i.e. a parallel_for issued now would run inline.
+  /// True while the calling thread is executing a chunk body — i.e. a
+  /// parallel_for issued now would run inline.
   [[nodiscard]] static bool in_parallel_region() noexcept;
 
   /// Process-wide pool, created on first use with threads_from_env().
@@ -105,12 +87,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // workers: jobs/tasks available or stop
+  std::condition_variable work_cv_;  // workers: jobs available or stop
   std::condition_variable done_cv_;  // parallel_for callers: job finished
-  std::condition_variable idle_cv_;  // wait_idle(): task queue drained
   std::deque<RangeJob*> jobs_;
-  std::deque<std::function<void()>> tasks_;
-  std::size_t active_tasks_ = 0;
   bool stop_ = false;
   std::size_t num_threads_ = 1;
 };
@@ -119,23 +98,20 @@ class ThreadPool {
 /// the serial path runs inline so tiny matrices don't pay pool dispatch
 /// overhead. Mutable so tests and benchmarks can force the threaded path on
 /// small inputs; not synchronized — set while no kernels are in flight.
-/// Grain changes never alter elementwise/matmul results (each output element
-/// is produced wholly inside one chunk); they do alter parallel_reduce
-/// rounding, which is why the defaults are fixed constants.
+/// Neither thresholds nor grains ever alter results: each output element is
+/// produced wholly inside one chunk (DESIGN.md §8).
 struct ParallelTuning {
   static std::size_t min_elems;         ///< elementwise ops: min elements
   static std::size_t elem_grain;        ///< elementwise ops: chunk size
-  static std::size_t min_matmul_flops;  ///< matmul family: min n*k*m
+  /// The one threshold of every row-partitioned (matmul/SpMM, f64 and f32,
+  /// tape and engine) dispatcher: jobs whose total work (n*k*m, or nnz*m)
+  /// is below this many flops run inline. Rationale (BENCH_micro.json): a
+  /// ~1 Mflop dispatch splits into ~16 chunks of a few µs each, and the
+  /// wake/steal/join overhead then exceeds the parallel win (cheb_dense
+  /// N=64 ran 23% SLOWER @4T than @1T). Below ~4 Mflops the serial kernel
+  /// is never worse than the dispatched one on the sizes the model produces.
+  static std::size_t min_matmul_flops;
   static std::size_t matmul_row_grain;  ///< matmul family: rows per chunk
-  /// Serial cut-over for the row-partitioned (matmul/SpMM) dispatchers: jobs
-  /// whose TOTAL work is below this many flops skip pool dispatch entirely,
-  /// even above min_matmul_flops. Rationale (BENCH_micro.json): a ~1 Mflop
-  /// dispatch splits into ~16 chunks of a few µs each, and the wake/steal/
-  /// join overhead then exceeds the parallel win (cheb_dense N=64 ran 23%
-  /// SLOWER @4T than @1T). Below ~4 Mflops the serial kernel is never worse
-  /// than the dispatched one on the sizes the model produces. Results are
-  /// unaffected — dispatch never changes bits (DESIGN.md §8).
-  static std::size_t serial_cutover_flops;
   /// Restore the defaults (tests).
   static void reset() noexcept;
 };

@@ -179,32 +179,42 @@ TEST_P(NeuralBaselineTest, FewAdamStepsReduceLoss) {
   EXPECT_LT(last, first);
 }
 
+// A window one step short, in the inputs or in the targets, is refused by
+// name before any model reads past it.
+TEST_P(NeuralBaselineTest, RejectsWindowOfWrongLength) {
+  Fixture f;
+  auto model = make_model(GetParam(), f);
+  const data::Window w = f.sampler->make_window(0);
+  const auto expect_rejected = [&](const data::Window& bad, bool predict) {
+    try {
+      ad::Tape tape;
+      if (predict) {
+        (void)model->predict(bad);
+      } else {
+        (void)model->training_loss(tape, bad);
+      }
+      ADD_FAILURE() << "window accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(GetParam() + ": window"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  data::Window short_inputs = w;
+  short_inputs.x_obs.pop_back();
+  short_inputs.x_mask.pop_back();
+  expect_rejected(short_inputs, /*predict=*/true);
+  expect_rejected(short_inputs, /*predict=*/false);
+  data::Window short_targets = w;
+  short_targets.y.pop_back();
+  short_targets.y_mask.pop_back();
+  expect_rejected(short_targets, /*predict=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, NeuralBaselineTest,
                          ::testing::Values("FC-LSTM", "FC-GCN", "GCN-LSTM",
                                            "FC-LSTM-I", "FC-GCN-I", "ASTGCN",
                                            "GraphWaveNet"));
-
-// ---- -I variants: imputation contract ------------------------------------------
-
-class ImputingBaselineTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ImputingBaselineTest, ImputePreservesObserved) {
-  Fixture f;
-  auto model = make_model(GetParam(), f);
-  const data::Window w = f.sampler->make_window(3);
-  const auto imputed = model->impute(w);
-  ASSERT_EQ(imputed.size(), 6u);
-  for (std::size_t t = 0; t < imputed.size(); ++t) {
-    for (std::size_t i = 0; i < imputed[t].size(); ++i) {
-      if (w.x_mask[t].data()[i] > 0.5) {
-        EXPECT_DOUBLE_EQ(imputed[t].data()[i], w.x_truth[t].data()[i]);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ImputingModels, ImputingBaselineTest,
-                         ::testing::Values("FC-LSTM-I", "FC-GCN-I"));
 
 TEST(MeanFilledModels, DoNotImpute) {
   Fixture f;

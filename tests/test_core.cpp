@@ -355,6 +355,21 @@ TEST(Rihgcn, NodeCountMismatchThrows) {
   expect_rejected(three_layers);
 }
 
+TEST(Rihgcn, RejectsWindowOfWrongLength) {
+  Fixture f;
+  RihgcnModel model(*f.graphs, 6, 4, f.model_config());
+  data::Window w = f.sampler->make_window(0);
+  w.x_obs.pop_back();
+  w.x_mask.pop_back();
+  try {
+    (void)model.predict(w);
+    ADD_FAILURE() << "window accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("RIHGCN: window", 0), 0u)
+        << e.what();
+  }
+}
+
 TEST(Rihgcn, SaveLoadRoundTripKeepsPredictions) {
   Fixture f;
   RihgcnModel model(*f.graphs, 6, 4, f.model_config());
@@ -376,7 +391,7 @@ TEST(Rihgcn, ForwardComplementStructure) {
   const data::Window w = f.sampler->make_window(2);
   ad::Tape tape;
   const auto out = model.forward(tape, w);
-  EXPECT_TRUE(out.has_imputation_loss);
+  EXPECT_TRUE(out.imputation_loss.valid());
   EXPECT_EQ(out.complement.size(), 6u);
   EXPECT_EQ(tape.value(out.prediction).cols(), 3u);
   EXPECT_GE(tape.value(out.imputation_loss)(0, 0), 0.0);
@@ -392,7 +407,6 @@ class BackendGuard {
     ParallelTuning::min_elems = 1;
     ParallelTuning::elem_grain = 4;
     ParallelTuning::min_matmul_flops = 1;
-    ParallelTuning::serial_cutover_flops = 1;
     ParallelTuning::matmul_row_grain = 2;
     ThreadPool::set_global_threads(threads);
   }

@@ -19,15 +19,6 @@ TEST(Init, XavierRange) {
   EXPECT_EQ(w.rows(), 100u);
 }
 
-TEST(Init, HeNormalStd) {
-  Rng rng(2);
-  const Matrix w = he_normal(rng, 200, 50);
-  // Sample std ~ sqrt(2/200) = 0.1.
-  double s2 = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) s2 += w.data()[i] * w.data()[i];
-  EXPECT_NEAR(std::sqrt(s2 / static_cast<double>(w.size())), 0.1, 0.01);
-}
-
 TEST(Linear, ForwardShapeAndValue) {
   Rng rng(3);
   Linear lin(3, 2, rng);
@@ -252,16 +243,6 @@ TEST(ChebGcn, CsrForwardBitwiseMatchesDenseRecurrence) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "output/gradient " << i;
   }
-}
-
-TEST(Mlp, ForwardAndParamCount) {
-  Rng rng(16);
-  Mlp mlp({4, 8, 2}, rng);
-  ad::Tape tape;
-  ad::Var y = mlp.forward(tape, tape.constant(Matrix(3, 4, 0.1)));
-  EXPECT_EQ(tape.value(y).cols(), 2u);
-  EXPECT_EQ(mlp.num_parameters(), 4u * 8 + 8 + 8 * 2 + 2);
-  EXPECT_THROW(Mlp({4}, rng), std::invalid_argument);
 }
 
 TEST(CollectParameters, Flattens) {

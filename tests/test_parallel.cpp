@@ -3,8 +3,7 @@
 //
 // Three layers of coverage:
 //  1. ThreadPool unit suite — env sizing, exact-once chunk coverage,
-//     exception propagation, reentrancy, shutdown under pending work,
-//     ordered reduction.
+//     exception propagation, reentrancy.
 //  2. Kernel property tests — the blocked/threaded matmul family against
 //     the seed serial kernel (detail::matmul_naive) with exact == on
 //     randomized shapes including 0/1-dim degenerate cases.
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -47,7 +45,6 @@ class BackendGuard {
       ParallelTuning::min_elems = 1;
       ParallelTuning::elem_grain = 4;
       ParallelTuning::min_matmul_flops = 1;
-      ParallelTuning::serial_cutover_flops = 1;
       ParallelTuning::matmul_row_grain = 2;
     }
     ThreadPool::set_global_threads(threads);
@@ -190,62 +187,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
   EXPECT_FALSE(ThreadPool::in_parallel_region());
-}
-
-TEST(ThreadPool, EnqueueRunsTasksAndWaitIdleBlocksUntilDone) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.enqueue([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ThreadPool, ShutdownWithPendingTasksDoesNotHang) {
-  std::atomic<int> started{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.enqueue([&started] {
-        ++started;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      });
-    }
-    // Destructor runs with most tasks still queued: running tasks finish,
-    // queued ones are discarded, and destruction must not deadlock.
-  }
-  EXPECT_LE(started.load(), 32);
-}
-
-TEST(ThreadPool, ParallelReduceIsThreadCountInvariant) {
-  // Order-sensitive magnitudes: any reordering of the combination changes
-  // the rounded result, so equality here proves the ascending-chunk order.
-  constexpr std::size_t kN = 1000;
-  std::vector<double> v(kN);
-  Rng rng(11);
-  for (std::size_t i = 0; i < kN; ++i) {
-    v[i] = (i % 7 == 0) ? 1e16 : rng.uniform(-1.0, 1.0);
-  }
-  auto chunk_sum = [&v](std::size_t b, std::size_t e) {
-    double s = 0.0;
-    for (std::size_t i = b; i < e; ++i) s += v[i];
-    return s;
-  };
-  // Reference: explicit ascending-chunk combination, fully serial.
-  constexpr std::size_t kGrain = 13;
-  double expected = 0.0;
-  for (std::size_t b = 0; b < kN; b += kGrain) {
-    expected += chunk_sum(b, std::min(kN, b + kGrain));
-  }
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    const double got = pool.parallel_reduce(0, kN, kGrain, 0.0, chunk_sum);
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
 }
 
 // ---- 2. Matmul property tests ----------------------------------------------

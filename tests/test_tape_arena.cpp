@@ -42,7 +42,6 @@ class BackendGuard {
     ParallelTuning::min_elems = 1;
     ParallelTuning::elem_grain = 4;
     ParallelTuning::min_matmul_flops = 1;
-    ParallelTuning::serial_cutover_flops = 1;
     ParallelTuning::matmul_row_grain = 2;
     ThreadPool::set_global_threads(threads);
   }

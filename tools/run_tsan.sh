@@ -21,7 +21,11 @@
 # with exact counter accounting. The §13 k-NN graph builders ride along as
 # well (DtwBounds*, KnnSeriesGraph*, SpatialKnn*, CsrGraphPipeline*): their
 # pool workers share the sorted, read-only series and coordinate arrays
-# built once per call.
+# built once per call. ParallelTrainer* and ClusteredTrainer* run
+# train_model on several batch workers (per-worker arena tapes and gradient
+# sinks reduced in worker order — the path every perfbench workload trains
+# on), and RecurrentImputationTest* runs RIHGCN and the -I baselines through
+# the shared Eq. 3–7 recipe.
 #
 # Usage: tools/run_tsan.sh [extra gtest filter]
 set -euo pipefail
@@ -33,7 +37,7 @@ build_dir=build-tsan
 cmake -B "${build_dir}" -S . -DRIHGCN_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j --target rihgcn_tests
 
-filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*TrainingBitwiseIdenticalAcrossKernelThreads*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:ReadingBuffer*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*}"
+filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*TrainingBitwiseIdenticalAcrossKernelThreads*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:ReadingBuffer*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*:DtwBounds*:KnnSeriesGraph*:SpatialKnn*:CsrGraphPipeline*:ParallelTrainer*:ClusteredTrainer*:*RecurrentImputationTest*}"
 
 # tools/tsan.supp: exception_ptr refcounts live in uninstrumented
 # libstdc++.so; see the file for why that one frame is a false positive.
