@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   std::printf(
       "Figure 3: graphs from different distance measurements "
       "(5 road segments)\n\n");
-  print_adjacency("(a) geographic graph (road distances, Eq. 8):",
-                  env.graphs->geographic().adjacency());
+  const Matrix geo = env.graphs->geographic_adjacency_csr().to_dense();
+  print_adjacency("(a) geographic graph (road distances, Eq. 8):", geo);
   const auto& part = env.graphs->partition();
   std::printf("\ntimeline partition (hour boundaries):");
   for (const std::size_t b : part.boundaries) std::printf(" %zu", b);
@@ -64,37 +64,36 @@ int main(int argc, char** argv) {
                   "(%c) temporal graph for interval [%zuh, %zuh) (DTW "
                   "similarity):",
                   static_cast<char>('b' + m), c0, c1);
-    print_adjacency(title, env.graphs->temporal(m).adjacency());
+    print_adjacency(title, env.graphs->temporal_adjacency_csr(m).to_dense());
     std::printf("\n");
   }
 
   // Eq. 8 sparsity, grounded in actual numbers: nnz/density per graph (the
   // sparse backend's win scales with how empty these are — DESIGN.md §9).
   std::printf("graph sparsity (Eq. 8 thresholded adjacency):\n");
-  auto print_stats = [](const char* name, const Matrix& a) {
-    const graph::SparsityStats st = graph::sparsity_stats(a);
-    std::printf("   %-22s nnz=%4zu/%4zu  density=%.3f\n", name, st.nnz,
-                st.size, st.density);
+  auto print_stats = [](const char* name, const CsrMatrix& a) {
+    std::printf("   %-22s nnz=%4zu/%4zu  density=%.3f\n", name, a.nnz(),
+                a.rows() * a.cols(), a.density());
   };
-  print_stats("geographic:", env.graphs->geographic().adjacency());
+  print_stats("geographic:", env.graphs->geographic_adjacency_csr());
   for (std::size_t m = 0; m < env.graphs->num_temporal(); ++m) {
     char name[32];
     std::snprintf(name, sizeof(name), "temporal[%zu]:", m);
-    print_stats(name, env.graphs->temporal(m).adjacency());
+    print_stats(name, env.graphs->temporal_adjacency_csr(m));
   }
   std::printf("\n");
 
+  const auto temporal_adj = [&](std::size_t m) {
+    return env.graphs->temporal_adjacency_csr(m).to_dense();
+  };
   std::printf("structure differences (mean |edge weight delta|):\n");
   std::printf("   geo vs temporal[0]:        %.4f\n",
-              structure_difference(env.graphs->geographic().adjacency(),
-                                   env.graphs->temporal(0).adjacency()));
+              structure_difference(geo, temporal_adj(0)));
   if (env.graphs->num_temporal() > 1) {
     std::printf("   geo vs temporal[1]:        %.4f\n",
-                structure_difference(env.graphs->geographic().adjacency(),
-                                     env.graphs->temporal(1).adjacency()));
+                structure_difference(geo, temporal_adj(1)));
     std::printf("   temporal[0] vs temporal[1]: %.4f\n",
-                structure_difference(env.graphs->temporal(0).adjacency(),
-                                     env.graphs->temporal(1).adjacency()));
+                structure_difference(temporal_adj(0), temporal_adj(1)));
   }
   std::printf(
       "\nShape check vs paper: temporal graphs connect geographically "

@@ -318,8 +318,8 @@ BENCHMARK(BM_ParallelBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 struct SweepGraph {
   std::size_t n = 0;
-  Matrix lap;     // scaled Laplacian, dense
-  CsrMatrix csr;  // same matrix in CSR (tol = 0 — bitwise-equal kernels)
+  CsrMatrix csr;  // scaled Laplacian
+  Matrix lap;     // the same matrix dense (to_dense — bitwise-equal kernels)
 };
 
 SweepGraph make_sweep_graph(std::size_t n) {
@@ -334,9 +334,8 @@ SweepGraph make_sweep_graph(std::size_t n) {
   const data::TrafficDataset ds = data::generate_pems_like(cfg);
   SweepGraph g;
   g.n = n;
-  g.lap =
-      graph::RoadGraph::from_distances(ds.geo_distances).scaled_laplacian();
-  g.csr = CsrMatrix::from_dense(g.lap);
+  g.csr = graph::scaled_laplacian_from_distances(ds.geo_distances);
+  g.lap = g.csr.to_dense();
   return g;
 }
 
@@ -655,12 +654,7 @@ void run_train_step_compare(const bench::BenchOptions& opts,
   std::printf("\nRIHGCN train step, N=%zu (forward+backward, M=2, K=3)\n",
               kNodes);
   std::printf("%-18s %8s %14s %9s\n", "config", "threads", "ns/op", "speedup");
-  double density = 0.0;
-  {
-    const auto stats =
-        graph::sparsity_stats(graphs.geographic().scaled_laplacian());
-    density = stats.density;
-  }
+  const double density = graphs.geographic_scaled_laplacian_csr().density();
   struct StepConfig {
     const char* name;
     bool fused;

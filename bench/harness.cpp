@@ -198,7 +198,7 @@ std::unique_ptr<core::ForecastModel> make_and_train(const std::string& name,
                                                     double lambda,
                                                     bool verbose) {
   const std::size_t d = env.ds.num_features();
-  const Matrix& lap = env.graphs->geographic().scaled_laplacian();
+  const CsrMatrix& lap = env.graphs->geographic_scaled_laplacian_csr();
   baselines::NeuralBaselineConfig nb;
   nb.lookback = s.lookback;
   nb.horizon = s.horizon;

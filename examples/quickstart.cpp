@@ -84,7 +84,7 @@ int main() {
   base_cfg.lookback = 12;
   base_cfg.horizon = 6;
   base_cfg.hidden = 24;
-  baselines::GcnLstmModel baseline(graphs.geographic().scaled_laplacian(),
+  baselines::GcnLstmModel baseline(graphs.geographic_scaled_laplacian_csr(),
                                    ds.num_features(), base_cfg);
   const core::TrainReport base_report =
       core::train_model(baseline, sampler, split, train_cfg);

@@ -725,25 +725,6 @@ Var Tape::mean_all(Var a) {
   return out;
 }
 
-Var Tape::sum_all(Var a) {
-  check_same_tape(a);
-  const std::size_t ia = a.index;
-  Matrix v = pool_.acquire(1, 1);
-  v(0, 0) = nodes_[ia].value.sum();
-  Var out = push(std::move(v), nodes_[ia].requires_grad);
-  const std::size_t io = out.index;
-  nodes_[io].backward = [ia, io](Tape& t) {
-    if (!t.node(ia).requires_grad) return;
-    const double g = t.grad_ref(io)(0, 0);
-    Matrix& ga = t.grad_ref(ia);
-    double* gap = ga.data();
-    par_elems(ga.size(), [gap, g](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) gap[i] += g;
-    });
-  };
-  return out;
-}
-
 Var Tape::masked_mae(Var a, const Matrix& target, const Matrix& w) {
   check_same_tape(a);
   const std::size_t ia = a.index;
@@ -782,46 +763,6 @@ Var Tape::masked_mae(Var a, const Matrix& target, const Matrix& w) {
         // Subgradient 0 at d == 0.
         const double sgn = d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0);
         gap[i] += g * wp[i] * sgn;
-      }
-    });
-  };
-  return out;
-}
-
-Var Tape::masked_mse(Var a, const Matrix& target, const Matrix& w) {
-  check_same_tape(a);
-  const std::size_t ia = a.index;
-  double loss = 0.0;
-  double count = 1.0;
-  {
-    const Matrix& x = nodes_[ia].value;
-    if (!x.same_shape(target) || !x.same_shape(w)) {
-      throw ShapeError("masked_mse: shape mismatch");
-    }
-    count = std::max(1.0, w.sum());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x.data()[i] - target.data()[i];
-      loss += w.data()[i] * d * d;
-    }
-  }
-  const std::size_t itgt = constant(target).index;
-  const std::size_t iwt = constant(w).index;
-  Matrix v = pool_.acquire(1, 1);
-  v(0, 0) = loss / count;
-  Var out = push(std::move(v), nodes_[ia].requires_grad);
-  const std::size_t io = out.index;
-  nodes_[io].backward = [ia, io, itgt, iwt, count](Tape& t) {
-    if (!t.node(ia).requires_grad) return;
-    const double g = t.grad_ref(io)(0, 0) / count;
-    const Matrix& x2 = t.node(ia).value;
-    Matrix& ga = t.grad_ref(ia);
-    const double* xp = x2.data();
-    const double* tp = t.node(itgt).value.data();
-    const double* wp = t.node(iwt).value.data();
-    double* gap = ga.data();
-    par_elems(x2.size(), [=](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        gap[i] += g * wp[i] * 2.0 * (xp[i] - tp[i]);
       }
     });
   };

@@ -279,13 +279,9 @@ class Tape {
   // ---- Reductions / losses -----------------------------------------------
   /// Mean over all elements -> 1x1.
   Var mean_all(Var a);
-  /// Sum over all elements -> 1x1.
-  Var sum_all(Var a);
   /// Weighted L1: sum(w ⊙ |a - target|) / max(1, sum(w)) -> 1x1.
   /// `target` and weight matrix `w` are constants (observed data and masks).
   Var masked_mae(Var a, const Matrix& target, const Matrix& w);
-  /// Weighted L2: sum(w ⊙ (a - target)^2) / max(1, sum(w)) -> 1x1.
-  Var masked_mse(Var a, const Matrix& target, const Matrix& w);
   /// Mean |a - b| between two vars (consistency term of Eq. 6), optionally
   /// weighted by a constant matrix of the same shape.
   Var weighted_l1_between(Var a, Var b, const Matrix& w);

@@ -42,11 +42,11 @@ Matrix FcLstmModel::predict(const data::Window& w) {
 
 // ---- FcGcnModel -------------------------------------------------------------
 
-FcGcnModel::FcGcnModel(const Matrix& geo_scaled_laplacian,
+FcGcnModel::FcGcnModel(const CsrMatrix& geo_scaled_laplacian,
                        std::size_t num_features,
                        const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
+      lap_(geo_scaled_laplacian),
       rng_(config.seed),
       gcn_(num_features, config.hidden, config.cheb_order, rng_, "fcgcn.gcn"),
       head_(config.lookback * config.hidden, config.horizon, rng_,
@@ -78,11 +78,11 @@ Matrix FcGcnModel::predict(const data::Window& w) {
 
 // ---- GcnLstmModel -----------------------------------------------------------
 
-GcnLstmModel::GcnLstmModel(const Matrix& geo_scaled_laplacian,
+GcnLstmModel::GcnLstmModel(const CsrMatrix& geo_scaled_laplacian,
                            std::size_t num_features,
                            const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
+      lap_(geo_scaled_laplacian),
       rng_(config.seed),
       gcn_(num_features, config.hidden, config.cheb_order, rng_,
            "gcnlstm.gcn"),
@@ -176,11 +176,11 @@ std::vector<Matrix> FcLstmIModel::impute(const data::Window& w) {
 
 // ---- FcGcnIModel -------------------------------------------------------------
 
-FcGcnIModel::FcGcnIModel(const Matrix& geo_scaled_laplacian,
+FcGcnIModel::FcGcnIModel(const CsrMatrix& geo_scaled_laplacian,
                          std::size_t num_features,
                          const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
+      lap_(geo_scaled_laplacian),
       rng_(config.seed),
       gcn_(2 * num_features, config.hidden, config.cheb_order, rng_,
            "fcgcni.gcn"),
@@ -230,11 +230,11 @@ std::vector<Matrix> FcGcnIModel::impute(const data::Window& w) {
 
 // ---- AstGcnModel ----------------------------------------------------------
 
-AstGcnModel::AstGcnModel(const Matrix& geo_scaled_laplacian,
+AstGcnModel::AstGcnModel(const CsrMatrix& geo_scaled_laplacian,
                          std::size_t num_features,
                          const NeuralBaselineConfig& config)
     : config_(config),
-      lap_(CsrMatrix::from_dense(geo_scaled_laplacian)),
+      lap_(geo_scaled_laplacian),
       rng_(config.seed),
       query_(num_features, config.hidden, rng_, "astgcn.q"),
       key_(num_features, config.hidden, rng_, "astgcn.k"),

@@ -70,9 +70,9 @@ class FcLstmModel final : public core::ForecastModel {
 
 class FcGcnModel final : public core::ForecastModel {
  public:
-  /// `geo_scaled_laplacian` is converted once to CSR (tol 0); N inferred
-  /// from it.
-  FcGcnModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
+  /// `geo_scaled_laplacian` (copied) is the geographic graph's Chebyshev
+  /// scaled Laplacian; N is inferred from it.
+  FcGcnModel(const CsrMatrix& geo_scaled_laplacian, std::size_t num_features,
              const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "FC-GCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -91,7 +91,7 @@ class FcGcnModel final : public core::ForecastModel {
 
 class GcnLstmModel final : public core::ForecastModel {
  public:
-  GcnLstmModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
+  GcnLstmModel(const CsrMatrix& geo_scaled_laplacian, std::size_t num_features,
                const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "GCN-LSTM"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -135,7 +135,7 @@ class FcLstmIModel final : public core::ForecastModel {
 
 class FcGcnIModel final : public core::ForecastModel {
  public:
-  FcGcnIModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
+  FcGcnIModel(const CsrMatrix& geo_scaled_laplacian, std::size_t num_features,
               const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "FC-GCN-I"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
@@ -160,7 +160,7 @@ class FcGcnIModel final : public core::ForecastModel {
 
 class AstGcnModel final : public core::ForecastModel {
  public:
-  AstGcnModel(const Matrix& geo_scaled_laplacian, std::size_t num_features,
+  AstGcnModel(const CsrMatrix& geo_scaled_laplacian, std::size_t num_features,
               const NeuralBaselineConfig& config);
   [[nodiscard]] std::string name() const override { return "ASTGCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;

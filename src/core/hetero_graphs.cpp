@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "timeseries/profile.hpp"
 
@@ -28,14 +29,9 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
                                          std::size_t train_end,
                                          const HeteroGraphsConfig& config,
                                          Rng& rng)
-    : geo_(graph::RoadGraph::from_distances(
-          // Sparse mode never touches the dense pipeline; geo_ stays an
-          // empty placeholder so no N x N matrix is built behind our back.
-          config.knn > 0 ? Matrix() : ds.geo_distances, config.adjacency)),
-      partition_slots_(config.partition_slots),
+    : partition_slots_(config.partition_slots),
       steps_per_day_(ds.steps_per_day),
-      weight_temperature_(config.weight_temperature),
-      sparse_mode_(config.knn > 0) {
+      weight_temperature_(config.weight_temperature) {
   if (train_end == 0 || train_end > ds.num_timesteps()) {
     throw std::invalid_argument("HeterogeneousGraphs: bad train_end");
   }
@@ -43,18 +39,31 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
       config.partition_slots > ds.steps_per_day) {
     throw std::invalid_argument("HeterogeneousGraphs: bad partition_slots");
   }
+  const bool knn = config.knn > 0;
+  if (knn && config.distance != ts::SeriesDistance::kDtw) {
+    throw std::invalid_argument(
+        "HeterogeneousGraphs: k-NN mode supports DTW only");
+  }
+  // Every graph: an Eq. 8 adjacency, then the one CSR Laplacian tail.
+  const auto make_graph = [](CsrMatrix adjacency) {
+    CsrMatrix slap = graph::scaled_laplacian_csr(
+        graph::normalized_laplacian_csr(adjacency));
+    return Graph{std::move(adjacency), std::move(slap)};
+  };
 
-  if (!sparse_mode_) {
-    geo_adj_csr_ = CsrMatrix::from_dense(geo_.adjacency());
-    geo_slap_csr_ = CsrMatrix::from_dense(geo_.scaled_laplacian());
-  } else {
-    if (config.distance != ts::SeriesDistance::kDtw) {
+  const std::size_t n = ds.num_nodes();
+  const bool has_geo = n > 0 && ds.geo_distances.rows() == n;
+  if (!knn) {
+    if (!has_geo) {
       throw std::invalid_argument(
-          "HeterogeneousGraphs: sparse mode supports DTW only");
+          "HeterogeneousGraphs: all-pairs mode (knn = 0) needs N x N "
+          "geo_distances");
     }
-    const std::size_t n = ds.num_nodes();
+    geo_ = make_graph(
+        graph::gaussian_adjacency(ds.geo_distances, config.adjacency));
+  } else {
     ts::NeighborList nl;
-    if (n > 0 && ds.geo_distances.rows() == n) {
+    if (has_geo) {
       nl = graph::knn_from_distances(ds.geo_distances, config.knn);
     } else if (n > 0 && ds.coords.rows() == n) {
       // City-scale datasets ship coordinates but no N x N road-distance
@@ -62,11 +71,9 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
       nl = graph::knn_from_coords(ds.coords, config.knn);
     } else {
       throw std::invalid_argument(
-          "HeterogeneousGraphs: sparse mode needs geo_distances or coords");
+          "HeterogeneousGraphs: k-NN mode needs geo_distances or coords");
     }
-    geo_adj_csr_ = graph::gaussian_knn_adjacency(nl, config.adjacency);
-    geo_slap_csr_ = graph::scaled_laplacian_csr(
-        graph::normalized_laplacian_csr(geo_adj_csr_));
+    geo_ = make_graph(graph::gaussian_knn_adjacency(nl, config.adjacency));
   }
 
   if (config.num_temporal_graphs == 0) {
@@ -105,17 +112,22 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
                    : partitioner.partition(config.num_temporal_graphs, rng);
 
   // ---- One temporal graph per interval ----------------------------------
-  if (!sparse_mode_) temporal_.reserve(partition_.num_intervals());
-  const std::size_t fine_per_coarse =
-      ds.steps_per_day / config.partition_slots;
+  // Coarse slot c holds the fine slots s with ⌊s·P/S⌋ = c — the binning
+  // day_profile partitioned and interval_weights reads — which start at
+  // fine slot ⌈c·S/P⌉ (P = partition_slots, S = steps_per_day).
+  const std::size_t spd = ds.steps_per_day;
+  const std::size_t pslots = config.partition_slots;
+  const auto first_fine_slot = [spd, pslots](std::size_t c) {
+    return (c * spd + pslots - 1) / pslots;
+  };
+  temporal_.reserve(partition_.num_intervals());
   for (std::size_t m = 0; m < partition_.num_intervals(); ++m) {
     // slot_range yields b in (0, slots]; b <= a marks a wrapping interval,
     // which interval_series handles via its s1 <= s0 convention.
     const auto [c0, c1] = partition_.slot_range(m);
-    const std::size_t f0 = c0 * fine_per_coarse;
-    const std::size_t f1 = c1 * fine_per_coarse;
-    const Matrix series = profile.interval_series(f0, f1);
-    if (sparse_mode_) {
+    const Matrix series =
+        profile.interval_series(first_fine_slot(c0), first_fine_slot(c1));
+    if (knn) {
       // Pruned top-k DTW scan instead of the O(N²) pairwise matrix.
       ts::KnnOptions opts;
       opts.k = config.knn;
@@ -128,37 +140,14 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
       temporal_knn_stats_.lb_keogh_pruned += st.lb_keogh_pruned;
       temporal_knn_stats_.dtw_started += st.dtw_started;
       temporal_knn_stats_.dtw_abandoned += st.dtw_abandoned;
-      const CsrMatrix adj =
-          graph::gaussian_knn_adjacency(nl, config.adjacency);
-      temporal_slap_csr_.push_back(graph::scaled_laplacian_csr(
-          graph::normalized_laplacian_csr(adj)));
-    } else {
-      const Matrix dist =
-          ts::pairwise_series_distance(series, config.distance);
       temporal_.push_back(
-          graph::RoadGraph::from_distances(dist, config.adjacency));
-      temporal_slap_csr_.push_back(
-          CsrMatrix::from_dense(temporal_.back().scaled_laplacian()));
+          make_graph(graph::gaussian_knn_adjacency(nl, config.adjacency)));
+    } else {
+      temporal_.push_back(make_graph(graph::gaussian_adjacency(
+          ts::pairwise_series_distance(series, config.distance),
+          config.adjacency)));
     }
   }
-}
-
-const graph::RoadGraph& HeterogeneousGraphs::geographic() const {
-  if (sparse_mode_) {
-    throw std::logic_error(
-        "HeterogeneousGraphs::geographic: dense accessor in sparse mode; use "
-        "geographic_adjacency_csr / geographic_scaled_laplacian_csr");
-  }
-  return geo_;
-}
-
-const graph::RoadGraph& HeterogeneousGraphs::temporal(std::size_t m) const {
-  if (sparse_mode_) {
-    throw std::logic_error(
-        "HeterogeneousGraphs::temporal: dense accessor in sparse mode; use "
-        "temporal_scaled_laplacian_csr");
-  }
-  return temporal_.at(m);
 }
 
 std::vector<double> HeterogeneousGraphs::interval_weights(

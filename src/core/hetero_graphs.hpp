@@ -49,58 +49,57 @@ struct HeteroGraphsConfig {
   /// first interval need not start at midnight). Slightly slower to build.
   bool circular_partition = false;
 
-  // ---- City-scale k-NN sparse mode (DESIGN.md §13) ------------------------
-  /// knn > 0 switches every graph to the k-NN CSR pipeline: no N x N matrix
-  /// is ever materialized. The spatial graph comes from ds.geo_distances if
-  /// present, else from Euclidean k-NN over ds.coords; temporal graphs come
-  /// from ts::knn_series_graph over the interval profiles. The dense
-  /// accessors (geographic()/temporal()) throw in this mode. knn = 0
-  /// (default) is the dense pipeline. The *_csr() accessors answer in both.
+  // ---- Edge sets: all pairs or k-NN (DESIGN.md §13) ----------------------
+  /// knn = 0 (default) keeps every pair: the geographic graph from the
+  /// dataset's N x N geo_distances, each temporal graph from the pairwise
+  /// `distance` matrix of its interval profiles (dropped once its
+  /// adjacency is built). knn > 0 keeps each node's k nearest neighbours
+  /// (union-symmetrized) and never builds an N x N matrix: the spatial graph
+  /// comes from ds.geo_distances if present, else from Euclidean k-NN over
+  /// ds.coords; temporal graphs come from ts::knn_series_graph over the
+  /// interval profiles. Both modes run the same CSR Laplacian tail.
   std::size_t knn = 0;
-  /// Sparse mode only: LB_Kim/LB_Keogh pruning + early-abandon for the
+  /// k-NN mode only: LB_Kim/LB_Keogh pruning + early-abandon for the
   /// temporal DTW scans. Results are bitwise identical on or off.
   bool prune_dtw = true;
-  /// Sparse mode only: Sakoe-Chiba band for the temporal DTW scans
+  /// k-NN mode only: Sakoe-Chiba band for the temporal DTW scans
   /// (negative = unconstrained).
   std::ptrdiff_t dtw_band = -1;
 };
 
 class HeterogeneousGraphs {
  public:
-  /// Build all graphs from timesteps [0, train_end) of `ds`.
+  /// Build all graphs from timesteps [0, train_end) of `ds`. Throws
+  /// std::invalid_argument on a bad train_end or partition_slots, and when
+  /// the dataset lacks what the mode reads: N x N geo_distances with
+  /// knn = 0, geo_distances or coords with knn > 0.
   HeterogeneousGraphs(const data::TrafficDataset& ds, std::size_t train_end,
                       const HeteroGraphsConfig& config, Rng& rng);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return geo_slap_csr_.rows();
+    return geo_.scaled_laplacian.rows();
   }
   [[nodiscard]] std::size_t num_temporal() const noexcept {
-    return temporal_slap_csr_.size();
+    return temporal_.size();
   }
-  /// Dense accessors — throw std::logic_error in sparse mode (there is no
-  /// dense graph to return; that is the point of the mode).
-  [[nodiscard]] const graph::RoadGraph& geographic() const;
-  [[nodiscard]] const graph::RoadGraph& temporal(std::size_t m) const;
-
-  /// True when built with config.knn > 0 (CSR-only graphs).
-  [[nodiscard]] bool sparse_mode() const noexcept { return sparse_mode_; }
-  /// Gaussian adjacency and Chebyshev-rescaled Laplacians in CSR form, the
-  /// only form the GCNs consume. Sparse mode builds them from the k-NN
-  /// lists; dense mode holds CsrMatrix::from_dense (tol 0) of the dense
-  /// matrices, so SpMM over them is bitwise equal to dense matmul.
+  /// Every graph is held the same way: its Eq. 8 adjacency and its
+  /// Chebyshev-rescaled Laplacian (the form the GCNs consume), both CSR.
   [[nodiscard]] const CsrMatrix& geographic_adjacency_csr() const noexcept {
-    return geo_adj_csr_;
+    return geo_.adjacency;
   }
   [[nodiscard]] const CsrMatrix& geographic_scaled_laplacian_csr()
       const noexcept {
-    return geo_slap_csr_;
+    return geo_.scaled_laplacian;
+  }
+  [[nodiscard]] const CsrMatrix& temporal_adjacency_csr(std::size_t m) const {
+    return temporal_.at(m).adjacency;
   }
   [[nodiscard]] const CsrMatrix& temporal_scaled_laplacian_csr(
       std::size_t m) const {
-    return temporal_slap_csr_.at(m);
+    return temporal_.at(m).scaled_laplacian;
   }
-  /// Sparse mode: DTW work counters summed over every temporal graph build
-  /// (zeros in dense mode) — lets tests and benches assert pruning efficacy.
+  /// k-NN mode: DTW work counters summed over every temporal graph build
+  /// (zeros with knn = 0) — lets tests and benches assert pruning efficacy.
   [[nodiscard]] const ts::KnnStats& temporal_knn_stats() const noexcept {
     return temporal_knn_stats_;
   }
@@ -118,16 +117,17 @@ class HeterogeneousGraphs {
   }
 
  private:
-  graph::RoadGraph geo_;
-  std::vector<graph::RoadGraph> temporal_;
+  struct Graph {
+    CsrMatrix adjacency;
+    CsrMatrix scaled_laplacian;
+  };
+
+  Graph geo_;
+  std::vector<Graph> temporal_;
   ts::Partition partition_;  // over partition_slots
   std::size_t partition_slots_ = 24;
   std::size_t steps_per_day_ = 288;
   double weight_temperature_ = 2.0;
-  bool sparse_mode_ = false;
-  CsrMatrix geo_adj_csr_;
-  CsrMatrix geo_slap_csr_;
-  std::vector<CsrMatrix> temporal_slap_csr_;
   ts::KnnStats temporal_knn_stats_;
 };
 

@@ -11,19 +11,48 @@
 
 namespace rihgcn::graph {
 
-Matrix gaussian_adjacency(const Matrix& distances,
-                          const AdjacencyOptions& opts) {
+namespace {
+
+/// σ for Eq. 8: opts.sigma if set, else the standard deviation of the
+/// `count` distances whose sum and sum of squares are given; 1 when that
+/// comes out degenerate (all-equal distances).
+double kernel_width(const AdjacencyOptions& opts, double sum, double sum2,
+                    std::size_t count) {
+  double sigma = 0.0;
+  if (opts.sigma.has_value()) {
+    sigma = *opts.sigma;
+  } else {
+    const double mean = sum / static_cast<double>(count);
+    sigma = std::sqrt(std::max(0.0, sum2 / static_cast<double>(count) -
+                                        mean * mean));
+  }
+  return sigma <= 0.0 ? 1.0 : sigma;
+}
+
+/// Eq. 8 weight of distance d under kernel width² s2, or 0 when ε
+/// thresholds it away. Callers store only nonzero weights.
+double eq8_weight(double d, double s2, const AdjacencyOptions& opts) {
+  const double w = std::exp(-d * d / s2);
+  return w >= opts.epsilon ? w : 0.0;
+}
+
+CsrMatrix empty_graph(std::size_t n) {
+  return CsrMatrix::from_parts(n, n, std::vector<std::size_t>(n + 1, 0), {},
+                               {});
+}
+
+}  // namespace
+
+CsrMatrix gaussian_adjacency(const Matrix& distances,
+                             const AdjacencyOptions& opts) {
   const std::size_t n = distances.rows();
   if (distances.cols() != n) {
     throw ShapeError("gaussian_adjacency: distance matrix must be square");
   }
-  double sigma;
-  if (opts.sigma.has_value()) {
-    sigma = *opts.sigma;
-  } else {
-    // std of the off-diagonal distances (paper's convention via DCRNN).
-    double sum = 0.0, sum2 = 0.0;
-    std::size_t count = 0;
+  // std of the off-diagonal distances (paper's convention via DCRNN).
+  double sum = 0.0, sum2 = 0.0;
+  std::size_t count = 0;
+  if (!opts.sigma.has_value()) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
@@ -32,156 +61,32 @@ Matrix gaussian_adjacency(const Matrix& distances,
         ++count;
       }
     }
-    if (count == 0) return Matrix(n, n);
-    const double mean = sum / static_cast<double>(count);
-    sigma = std::sqrt(std::max(0.0, sum2 / static_cast<double>(count) -
-                                        mean * mean));
+    if (count == 0) return empty_graph(n);
   }
-  if (sigma <= 0.0) sigma = 1.0;  // degenerate (all-equal distances)
-  Matrix a(n, n);
+  const double sigma = kernel_width(opts, sum, sum2, count);
   const double s2 = sigma * sigma;
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::vector<std::size_t> col_idx;
+  std::vector<double> vals;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (opts.zero_diagonal && i == j) continue;
-      const double w = std::exp(-distances(i, j) * distances(i, j) / s2);
-      a(i, j) = w >= opts.epsilon ? w : 0.0;
-    }
-  }
-  return a;
-}
-
-Matrix pairwise_euclidean(const Matrix& coords) {
-  const std::size_t n = coords.rows();
-  const std::size_t d = coords.cols();
-  Matrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = coords(i, k) - coords(j, k);
-        s += diff * diff;
+      if (i == j) continue;
+      const double w = eq8_weight(distances(i, j), s2, opts);
+      if (w != 0.0) {
+        col_idx.push_back(j);
+        vals.push_back(w);
       }
-      out(i, j) = out(j, i) = std::sqrt(s);
     }
+    row_ptr[i + 1] = vals.size();
   }
-  return out;
+  return CsrMatrix::from_parts(n, n, std::move(row_ptr), std::move(col_idx),
+                               std::move(vals));
 }
 
-std::vector<double> degree_vector(const Matrix& adjacency) {
-  const std::size_t n = adjacency.rows();
-  if (adjacency.cols() != n) {
-    throw ShapeError("degree_vector: adjacency must be square");
-  }
-  std::vector<double> deg(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) s += adjacency(i, j);
-    deg[i] = s;
-  }
-  return deg;
-}
-
-Matrix degree_matrix(const Matrix& adjacency) {
-  const std::vector<double> deg = degree_vector(adjacency);
-  Matrix d(deg.size(), deg.size());
-  for (std::size_t i = 0; i < deg.size(); ++i) d(i, i) = deg[i];
-  return d;
-}
-
-Matrix normalized_laplacian(const Matrix& adjacency) {
-  const std::size_t n = adjacency.rows();
-  if (adjacency.cols() != n) {
-    throw ShapeError("normalized_laplacian: adjacency must be square");
-  }
-  // D^{-1/2} from the degree vector alone — no N x N degree matrix.
-  std::vector<double> dinv_sqrt = degree_vector(adjacency);
-  for (double& s : dinv_sqrt) s = s > 0.0 ? 1.0 / std::sqrt(s) : 0.0;
-  Matrix lap(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double norm = dinv_sqrt[i] * adjacency(i, j) * dinv_sqrt[j];
-      lap(i, j) = (i == j ? 1.0 : 0.0) - norm;
-    }
-  }
-  return lap;
-}
-
-double largest_eigenvalue(const Matrix& symmetric, std::size_t max_iters,
-                          double tol) {
-  const std::size_t n = symmetric.rows();
-  if (symmetric.cols() != n) {
-    throw ShapeError("largest_eigenvalue: matrix must be square");
-  }
-  if (n == 0) return 0.0;
-  if (n == 1) return symmetric(0, 0);
-  // Power iteration on (M + shift I) so the dominant eigenvalue is the
-  // algebraically largest one even when eigenvalues of mixed sign exist.
-  // For a normalized Laplacian the spectrum is within [0, 2]; shift=2 is
-  // safely larger than |λ_min|.
-  const double shift = 2.0;
-  // Deterministic non-uniform start vector: the all-ones vector is an exact
-  // eigenvector (eigenvalue 0) of regular graphs' normalized Laplacians, and
-  // power iteration can never escape an exact eigenvector.
-  std::vector<double> v(n);
-  double vnorm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i) * 1.7 + 0.3);
-    vnorm += v[i] * v[i];
-  }
-  vnorm = std::sqrt(vnorm);
-  for (auto& x : v) x /= vnorm;
-  std::vector<double> w(n, 0.0);
-  double lambda = 0.0;
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = shift * v[i];
-      const double* row = symmetric.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) s += row[j] * v[j];
-      w[i] = s;
-    }
-    double norm = 0.0;
-    for (double x : w) norm += x * x;
-    norm = std::sqrt(norm);
-    if (norm == 0.0) return 0.0;
-    double new_lambda = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      w[i] /= norm;
-      new_lambda += w[i] * w[i];
-    }
-    // Rayleigh quotient of the shifted matrix.
-    double rq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = shift * w[i];
-      const double* row = symmetric.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) s += row[j] * w[j];
-      rq += w[i] * s;
-    }
-    v.swap(w);
-    if (std::abs(rq - lambda) < tol) {
-      lambda = rq;
-      break;
-    }
-    lambda = rq;
-  }
-  return lambda - shift;
-}
-
-Matrix scaled_laplacian(const Matrix& laplacian, double lambda_max) {
-  const std::size_t n = laplacian.rows();
-  if (laplacian.cols() != n) {
-    throw ShapeError("scaled_laplacian: matrix must be square");
-  }
-  if (lambda_max <= 0.0) lambda_max = largest_eigenvalue(laplacian);
-  if (lambda_max <= 0.0) lambda_max = 2.0;  // empty graph: L == 0
-  Matrix out = laplacian * (2.0 / lambda_max);
-  for (std::size_t i = 0; i < n; ++i) out(i, i) -= 1.0;
-  return out;
-}
-
-Matrix scaled_laplacian_from_distances(const Matrix& distances,
-                                       const AdjacencyOptions& opts) {
-  return scaled_laplacian(normalized_laplacian(gaussian_adjacency(distances,
-                                                                  opts)));
+CsrMatrix scaled_laplacian_from_distances(const Matrix& distances,
+                                          const AdjacencyOptions& opts) {
+  return scaled_laplacian_csr(
+      normalized_laplacian_csr(gaussian_adjacency(distances, opts)));
 }
 
 // ---- k-NN graph pipeline for city-scale N (DESIGN.md §13) -----------------
@@ -275,8 +180,9 @@ ts::NeighborList knn_from_coords(const Matrix& coords, std::size_t k) {
             if (std::sqrt(dx * dx) > best.cutoff()) return false;
             const std::size_t j = order[q];
             const double* cj = base + j * dim;
-            // Same per-dimension accumulation order as pairwise_euclidean;
-            // (-x)·(-x) == x·x exactly, so both directions match bitwise.
+            // Per-dimension accumulation in column order (the header's
+            // all-pairs contract); (-x)·(-x) == x·x exactly, so both
+            // directions match bitwise.
             double s = 0.0;
             for (std::size_t d = 0; d < dim; ++d) {
               const double diff = ci[d] - cj[d];
@@ -301,28 +207,19 @@ ts::NeighborList knn_from_coords(const Matrix& coords, std::size_t k) {
 CsrMatrix gaussian_knn_adjacency(const ts::NeighborList& knn,
                                  const AdjacencyOptions& opts) {
   const std::size_t n = knn.num_nodes;
-  double sigma;
-  if (opts.sigma.has_value()) {
-    sigma = *opts.sigma;
-  } else {
-    // std of the kept directed k-NN distances. The dense pipeline's
-    // all-pairs std is the O(N²) pass this path exists to avoid; the edge
-    // set is identical on every build path, so this σ is too.
-    const std::size_t count = knn.dist.size();
-    if (count == 0) {
-      return CsrMatrix::from_parts(n, n,
-                                   std::vector<std::size_t>(n + 1, 0), {}, {});
-    }
-    double sum = 0.0, sum2 = 0.0;
+  // std of the kept directed k-NN distances. gaussian_adjacency's all-pairs
+  // std is the O(N²) pass this path exists to avoid; the edge set is
+  // identical on every build path, so this σ is too.
+  double sum = 0.0, sum2 = 0.0;
+  const std::size_t count = knn.dist.size();
+  if (!opts.sigma.has_value()) {
+    if (count == 0) return empty_graph(n);
     for (const double x : knn.dist) {
       sum += x;
       sum2 += x * x;
     }
-    const double mean = sum / static_cast<double>(count);
-    sigma = std::sqrt(std::max(0.0, sum2 / static_cast<double>(count) -
-                                        mean * mean));
   }
-  if (sigma <= 0.0) sigma = 1.0;  // degenerate (all-equal distances)
+  const double sigma = kernel_width(opts, sum, sum2, count);
   const double s2 = sigma * sigma;
 
   // Union-symmetrize the directed edge set: both (i,j) and (j,i) enter;
@@ -356,8 +253,8 @@ CsrMatrix gaussian_knn_adjacency(const ts::NeighborList& knn,
         edges[e].c == edges[e - 1].c) {
       continue;
     }
-    const double w = std::exp(-edges[e].d * edges[e].d / s2);
-    if (w < opts.epsilon || w == 0.0) continue;
+    const double w = eq8_weight(edges[e].d, s2, opts);
+    if (w == 0.0) continue;
     col_idx.push_back(edges[e].c);
     vals.push_back(w);
     row_ptr[edges[e].r + 1] = vals.size();
@@ -381,7 +278,7 @@ std::vector<double> degree_vector(const CsrMatrix& adjacency) {
   for (std::size_t i = 0; i < n; ++i) {
     // Ascending structural order = the dense loop's ascending-j order minus
     // its zero terms; adding 0.0 to a sum of nonnegative weights never
-    // changes bits, so this equals the dense degree_vector exactly.
+    // changes bits, so this equals the dense row sum exactly.
     double s = 0.0;
     for (std::size_t e = ptr[i]; e < ptr[i + 1]; ++e) s += val[e];
     deg[i] = s;
@@ -444,10 +341,16 @@ double largest_eigenvalue(const CsrMatrix& symmetric, std::size_t max_iters,
   const auto& col = symmetric.col_idx();
   const auto& val = symmetric.values();
   if (n == 1) return ptr[1] > ptr[0] ? val[0] : 0.0;
-  // Same shifted power iteration as the dense overload; the row products
-  // skip only structural zeros, whose ±0.0 contributions cannot change the
-  // bits of the nonzero partial sums (see the header contract).
+  // Power iteration on (M + shift I) so the dominant eigenvalue is the
+  // algebraically largest one even when eigenvalues of mixed sign exist.
+  // For a normalized Laplacian the spectrum is within [0, 2]; shift=2 is
+  // safely larger than |λ_min|. The row products skip only structural
+  // zeros, whose ±0.0 contributions cannot change the bits of the nonzero
+  // partial sums (see the header contract).
   const double shift = 2.0;
+  // Deterministic non-uniform start vector: the all-ones vector is an exact
+  // eigenvector (eigenvalue 0) of regular graphs' normalized Laplacians, and
+  // power iteration can never escape an exact eigenvector.
   std::vector<double> v(n);
   double vnorm = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -528,88 +431,6 @@ CsrMatrix scaled_laplacian_csr(const CsrMatrix& laplacian, double lambda_max) {
   }
   return CsrMatrix::from_parts(n, n, std::move(row_ptr), std::move(col_idx),
                                std::move(vals));
-}
-
-SparsityStats sparsity_stats(const Matrix& m) {
-  SparsityStats st;
-  st.size = m.size();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (m.data()[i] != 0.0) ++st.nnz;
-  }
-  if (st.size > 0) {
-    st.density = static_cast<double>(st.nnz) / static_cast<double>(st.size);
-  }
-  return st;
-}
-
-bool is_symmetric(const Matrix& m, double tol) {
-  if (m.rows() != m.cols()) return false;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = i + 1; j < m.cols(); ++j) {
-      if (std::abs(m(i, j) - m(j, i)) > tol) return false;
-    }
-  }
-  return true;
-}
-
-double sparsity(const Matrix& m) {
-  if (m.rows() <= 1) return 0.0;
-  std::size_t zeros = 0, total = 0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      if (i == j) continue;
-      ++total;
-      if (m(i, j) == 0.0) ++zeros;
-    }
-  }
-  return static_cast<double>(zeros) / static_cast<double>(total);
-}
-
-std::size_t connected_components(const Matrix& adjacency) {
-  const std::size_t n = adjacency.rows();
-  std::vector<bool> seen(n, false);
-  std::size_t components = 0;
-  std::vector<std::size_t> stack;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    ++components;
-    stack.push_back(start);
-    seen[start] = true;
-    while (!stack.empty()) {
-      const std::size_t u = stack.back();
-      stack.pop_back();
-      for (std::size_t v = 0; v < n; ++v) {
-        if (!seen[v] && (adjacency(u, v) != 0.0 || adjacency(v, u) != 0.0)) {
-          seen[v] = true;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  return components;
-}
-
-RoadGraph::RoadGraph(Matrix coords, const AdjacencyOptions& opts) {
-  distances_ = pairwise_euclidean(coords);
-  finish(opts);
-}
-
-RoadGraph RoadGraph::from_distances(Matrix distances,
-                                    const AdjacencyOptions& opts) {
-  if (distances.rows() != distances.cols()) {
-    throw ShapeError("RoadGraph::from_distances: must be square");
-  }
-  RoadGraph g;
-  g.distances_ = std::move(distances);
-  g.finish(opts);
-  return g;
-}
-
-void RoadGraph::finish(const AdjacencyOptions& opts) {
-  adjacency_ = gaussian_adjacency(distances_, opts);
-  laplacian_ = normalized_laplacian(adjacency_);
-  lambda_max_ = largest_eigenvalue(laplacian_);
-  scaled_laplacian_ = graph::scaled_laplacian(laplacian_, lambda_max_);
 }
 
 }  // namespace rihgcn::graph

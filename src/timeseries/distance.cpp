@@ -145,27 +145,6 @@ double erp(std::span<const double> a, std::span<const double> b, double gap) {
   return prev[m];
 }
 
-double lcss_distance(std::span<const double> a, std::span<const double> b,
-                     double eps, std::size_t delta) {
-  const std::size_t n = a.size(), m = b.size();
-  if (n == 0 || m == 0) return 1.0;
-  std::vector<std::size_t> prev(m + 1, 0), curr(m + 1, 0);
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      const bool within_delta =
-          (i > j ? i - j : j - i) <= delta;
-      if (within_delta && std::abs(a[i - 1] - b[j - 1]) < eps) {
-        curr[j] = prev[j - 1] + 1;
-      } else {
-        curr[j] = std::max(prev[j], curr[j - 1]);
-      }
-    }
-    prev.swap(curr);
-  }
-  const double lcss = static_cast<double>(prev[m]);
-  return 1.0 - lcss / static_cast<double>(std::min(n, m));
-}
-
 double series_distance(SeriesDistance kind, std::span<const double> a,
                        std::span<const double> b) {
   switch (kind) {
@@ -173,18 +152,6 @@ double series_distance(SeriesDistance kind, std::span<const double> a,
       return dtw(a, b);
     case SeriesDistance::kErp:
       return erp(a, b);
-    case SeriesDistance::kLcss: {
-      double sum = 0.0, sum2 = 0.0;
-      const std::size_t total = a.size() + b.size();
-      for (double x : a) sum += x, sum2 += x * x;
-      for (double x : b) sum += x, sum2 += x * x;
-      const double mean = sum / static_cast<double>(total);
-      const double var =
-          std::max(0.0, sum2 / static_cast<double>(total) - mean * mean);
-      const double eps = 0.5 * std::sqrt(var) + 1e-12;
-      const std::size_t delta = std::max(a.size(), b.size()) / 10 + 1;
-      return lcss_distance(a, b, eps, delta);
-    }
   }
   throw std::logic_error("series_distance: bad kind");
 }

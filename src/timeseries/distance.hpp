@@ -1,7 +1,7 @@
 // Time-series distance measures used to build the temporal graphs (§III-D):
 // Dynamic Time Warping (the paper's choice), plus Edit distance with Real
-// Penalty and Longest Common SubSequence, which the paper lists as
-// alternatives — implemented so the choice can be ablated.
+// Penalty, one of the alternatives the paper lists — implemented so the
+// choice can be ablated (bench_ablation).
 #pragma once
 
 #include <cstddef>
@@ -31,18 +31,10 @@ using rihgcn::Matrix;
 [[nodiscard]] double erp(std::span<const double> a, std::span<const double> b,
                          double gap = 0.0);
 
-/// Longest Common SubSequence similarity turned into a distance:
-///   1 - LCSS(a,b) / min(|a|,|b|),
-/// where elements match if |a_i - b_j| < eps and |i - j| <= delta.
-[[nodiscard]] double lcss_distance(std::span<const double> a,
-                                   std::span<const double> b, double eps,
-                                   std::size_t delta);
-
 /// Which distance the temporal-graph builder uses.
-enum class SeriesDistance { kDtw, kErp, kLcss };
+enum class SeriesDistance { kDtw, kErp };
 
-/// Dispatch on SeriesDistance for univariate series. For kLcss, eps is taken
-/// as 0.5 * stddev(a ∪ b) and delta as max(|a|,|b|)/10 + 1.
+/// Dispatch on SeriesDistance for univariate series.
 [[nodiscard]] double series_distance(SeriesDistance kind,
                                      std::span<const double> a,
                                      std::span<const double> b);

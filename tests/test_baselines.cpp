@@ -18,7 +18,7 @@ namespace {
 struct Fixture {
   data::TrafficDataset ds;
   std::size_t train_end;
-  Matrix lap;
+  CsrMatrix lap;
   std::unique_ptr<data::WindowSampler> sampler;
   data::SplitIndices split;
 

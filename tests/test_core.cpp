@@ -7,8 +7,10 @@
 #include "core/rihgcn.hpp"
 #include "data/generators.hpp"
 #include "data/missing.hpp"
+#include "graph_reference.hpp"
 #include "nn/optim.hpp"
 #include "tensor/parallel.hpp"
+#include "timeseries/profile.hpp"
 
 namespace rihgcn::core {
 namespace {
@@ -19,11 +21,13 @@ struct Fixture {
   std::unique_ptr<data::WindowSampler> sampler;
   std::unique_ptr<HeterogeneousGraphs> graphs;
 
-  explicit Fixture(std::size_t m_graphs = 2, double missing = 0.4) {
+  // 48 steps per day: 30-min bins keep everything tiny.
+  explicit Fixture(std::size_t m_graphs = 2, double missing = 0.4,
+                   std::size_t steps_per_day = 48) {
     data::PemsLikeConfig cfg;
     cfg.num_nodes = 6;
     cfg.num_days = 4;
-    cfg.steps_per_day = 48;  // 30-min bins keep everything tiny
+    cfg.steps_per_day = steps_per_day;
     cfg.seed = 3;
     ds = data::generate_pems_like(cfg);
     Rng rng(4);
@@ -61,16 +65,18 @@ TEST(HeteroGraphs, BuildsRequestedTemporalGraphs) {
 TEST(HeteroGraphs, ZeroTemporalGraphsIsGeoOnly) {
   Fixture f(0);
   EXPECT_EQ(f.graphs->num_temporal(), 0u);
-  EXPECT_EQ(f.graphs->geographic().num_nodes(), 6u);
+  EXPECT_EQ(f.graphs->num_nodes(), 6u);
+  EXPECT_EQ(f.graphs->geographic_adjacency_csr().rows(), 6u);
 }
 
 TEST(HeteroGraphs, TemporalGraphsDifferFromGeographic) {
   Fixture f(2);
   // DTW-based adjacency should generally differ from road-distance adjacency.
+  const Matrix geo = f.graphs->geographic_adjacency_csr().to_dense();
   bool any_diff = false;
   for (std::size_t m = 0; m < f.graphs->num_temporal(); ++m) {
-    if (!allclose(f.graphs->temporal(m).adjacency(),
-                  f.graphs->geographic().adjacency(), 1e-6)) {
+    if (!allclose(f.graphs->temporal_adjacency_csr(m).to_dense(), geo,
+                  1e-6)) {
       any_diff = true;
     }
   }
@@ -118,28 +124,81 @@ TEST(HeteroGraphs, BadArgsThrow) {
                std::invalid_argument);
 }
 
+using graph::reference::expect_same_csr;
+
+/// Temporal graph m rebuilt with the dense reference formulas from the fine
+/// slots its coarse interval [c0, c1) covers: fine slot s belongs to coarse
+/// slot ⌊s·P/S⌋, the binning the partition was searched on.
+graph::reference::CsrGraph reference_temporal_graph(const Fixture& f,
+                                                    std::size_t m,
+                                                    std::size_t pslots) {
+  const std::size_t spd = f.ds.steps_per_day;
+  const auto first_fine_slot = [&](std::size_t c) {
+    std::size_t s = 0;
+    while (s < spd && s * pslots / spd < c) ++s;
+    return s;
+  };
+  const auto end = static_cast<std::ptrdiff_t>(f.train_end);
+  const ts::HistoricalProfile profile(
+      std::vector<Matrix>(f.ds.truth.begin(), f.ds.truth.begin() + end),
+      std::vector<Matrix>(f.ds.mask.begin(), f.ds.mask.begin() + end), spd);
+  const auto [c0, c1] = f.graphs->partition().slot_range(m);
+  return graph::reference::graph_from_distances(ts::pairwise_series_distance(
+      profile.interval_series(first_fine_slot(c0), first_fine_slot(c1))));
+}
+
 TEST(HeteroGraphs, DenseModeCsrAccessorsMatchFromDense) {
-  // Dense-mode graphs answer the CSR accessors with the tol-0 CSR of the
-  // matrices they built: the one form every GCN consumes.
+  // All-pairs graphs equal the dense reference pipeline handed over as
+  // tol-0 CSR, bit for bit: the one form every GCN consumes.
   Fixture f(2);
   const HeterogeneousGraphs& g = *f.graphs;
-  ASSERT_FALSE(g.sparse_mode());
-  const auto expect_csr_of = [](const CsrMatrix& got, const Matrix& dense) {
-    const CsrMatrix want = CsrMatrix::from_dense(dense);
-    EXPECT_EQ(got.rows(), dense.rows());
-    EXPECT_EQ(got.row_ptr(), want.row_ptr());
-    EXPECT_EQ(got.col_idx(), want.col_idx());
-    EXPECT_EQ(got.values(), want.values());
-  };
-  expect_csr_of(g.geographic_adjacency_csr(), g.geographic().adjacency());
-  expect_csr_of(g.geographic_scaled_laplacian_csr(),
-                g.geographic().scaled_laplacian());
+  const graph::reference::CsrGraph geo =
+      graph::reference::graph_from_distances(f.ds.geo_distances);
+  expect_same_csr(g.geographic_adjacency_csr(), geo.adjacency);
+  expect_same_csr(g.geographic_scaled_laplacian_csr(), geo.scaled_laplacian);
   ASSERT_EQ(g.num_temporal(), 2u);
   for (std::size_t m = 0; m < g.num_temporal(); ++m) {
-    expect_csr_of(g.temporal_scaled_laplacian_csr(m),
-                  g.temporal(m).scaled_laplacian());
+    const graph::reference::CsrGraph want = reference_temporal_graph(f, m, 24);
+    expect_same_csr(g.temporal_adjacency_csr(m), want.adjacency);
+    expect_same_csr(g.temporal_scaled_laplacian_csr(m), want.scaled_laplacian);
   }
   EXPECT_THROW((void)g.temporal_scaled_laplacian_csr(2), std::out_of_range);
+  EXPECT_THROW((void)g.temporal_adjacency_csr(2), std::out_of_range);
+}
+
+TEST(HeteroGraphs, TemporalGraphsReadEveryFineSlotOfTheirInterval) {
+  // 30 fine slots per day over 24 coarse ones: coarse slot c spans fine
+  // slots [⌈1.25c⌉, ⌈1.25(c+1)⌉), so every fine slot feeds exactly the
+  // graph whose interval the partition (and interval_weights) assign it.
+  Fixture f(4, 0.4, 30);
+  ASSERT_EQ(f.graphs->num_temporal(), 4u);
+  for (std::size_t m = 0; m < f.graphs->num_temporal(); ++m) {
+    const graph::reference::CsrGraph want = reference_temporal_graph(f, m, 24);
+    expect_same_csr(f.graphs->temporal_adjacency_csr(m), want.adjacency);
+    expect_same_csr(f.graphs->temporal_scaled_laplacian_csr(m),
+                    want.scaled_laplacian);
+  }
+}
+
+TEST(HeteroGraphs, AllPairsModeNeedsGeoDistances) {
+  // A dataset without its N x N road distances (geo_distances 0 0 in a
+  // dataset file) is refused up front, naming the missing block, instead
+  // of building a 0-node geographic graph that fails later.
+  Fixture f(1);
+  data::TrafficDataset ds = f.ds;
+  ds.geo_distances = Matrix();
+  HeteroGraphsConfig cfg;
+  Rng rng(1);
+  try {
+    HeterogeneousGraphs g(ds, f.train_end, cfg, rng);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("geo_distances"), std::string::npos)
+        << e.what();
+  }
+  // k-NN mode still falls back to the coordinates.
+  cfg.knn = 3;
+  EXPECT_EQ(HeterogeneousGraphs(ds, f.train_end, cfg, rng).num_nodes(), 6u);
 }
 
 // ---- HgcnBlock ------------------------------------------------------------------
@@ -206,21 +265,6 @@ TEST(Rihgcn, TrainingLossFiniteAndPositive) {
   ad::Var loss = model.training_loss(tape, f.sampler->make_window(3));
   EXPECT_TRUE(std::isfinite(tape.value(loss)(0, 0)));
   EXPECT_GT(tape.value(loss)(0, 0), 0.0);
-}
-
-TEST(Rihgcn, ImputePreservesObservedEntries) {
-  Fixture f;
-  RihgcnModel model(*f.graphs, 6, 4, f.model_config());
-  const data::Window w = f.sampler->make_window(5);
-  const auto imputed = model.impute(w);
-  ASSERT_EQ(imputed.size(), 6u);
-  for (std::size_t t = 0; t < imputed.size(); ++t) {
-    for (std::size_t i = 0; i < imputed[t].size(); ++i) {
-      if (w.x_mask[t].data()[i] > 0.5) {
-        EXPECT_DOUBLE_EQ(imputed[t].data()[i], w.x_truth[t].data()[i]);
-      }
-    }
-  }
 }
 
 TEST(Rihgcn, GradientCheckEndToEnd) {
@@ -303,20 +347,6 @@ TEST(Rihgcn, AttentionHeadWorks) {
   const Matrix pred = model.predict(w);
   EXPECT_EQ(pred.cols(), 3u);
   EXPECT_FALSE(pred.has_non_finite());
-}
-
-TEST(Rihgcn, LambdaZeroDropsImputationLoss) {
-  Fixture f;
-  RihgcnConfig with = f.model_config();
-  RihgcnConfig without = f.model_config();
-  without.lambda = 0.0;
-  RihgcnModel m1(*f.graphs, 6, 4, with);
-  RihgcnModel m2(*f.graphs, 6, 4, without);
-  const data::Window w = f.sampler->make_window(0);
-  ad::Tape t1, t2;
-  const double l1 = t1.value(m1.training_loss(t1, w))(0, 0);
-  const double l2 = t2.value(m2.training_loss(t2, w))(0, 0);
-  EXPECT_GT(l1, l2);  // imputation term adds on top
 }
 
 TEST(Rihgcn, DisplayNameOverride) {

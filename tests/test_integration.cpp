@@ -138,8 +138,8 @@ TEST(Integration, RihgcnCompetitiveWithMeanFilledBaselineAtHighMissingness) {
   bcfg.lookback = 8;
   bcfg.horizon = 4;
   bcfg.hidden = 12;
-  baselines::GcnLstmModel baseline(p.graphs->geographic().scaled_laplacian(),
-                                   p.ds.num_features(), bcfg);
+  baselines::GcnLstmModel baseline(
+      p.graphs->geographic_scaled_laplacian_csr(), p.ds.num_features(), bcfg);
   core::TrainConfig tcfg = p.quick_train();
   tcfg.max_epochs = 8;  // RIHGCN has ~4x the parameters; give both a fair run
   core::train_model(rihgcn, *p.sampler, p.split, tcfg);

@@ -14,8 +14,8 @@
 //    with neighbour 0 at distance 0.
 //  * The CSR Laplacian pipeline (gaussian_knn_adjacency →
 //    normalized_laplacian_csr → largest_eigenvalue → scaled_laplacian_csr)
-//    is bitwise equal to the dense pipeline + from_dense on the same
-//    adjacency.
+//    is bitwise equal to the dense reference formulas
+//    (graph_reference.hpp) + from_dense on the same adjacency.
 //  * CsrMatrix::from_parts validation and submatrix extraction.
 #include "graph/graph.hpp"
 
@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph_reference.hpp"
 #include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/parallel.hpp"
@@ -40,6 +41,8 @@
 
 namespace rihgcn {
 namespace {
+
+namespace ref = graph::reference;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -387,7 +390,7 @@ TEST(SpatialKnn, CoordsPathMatchesDistanceMatrixPath) {
     BackendGuard guard(threads);
     const ts::NeighborList direct = graph::knn_from_coords(coords, 6);
     const ts::NeighborList via_dense =
-        graph::knn_from_distances(graph::pairwise_euclidean(coords), 6);
+        graph::knn_from_distances(ref::pairwise_euclidean(coords), 6);
     EXPECT_EQ(direct.idx, via_dense.idx);
     EXPECT_EQ(direct.dist, via_dense.dist);
   }
@@ -422,7 +425,7 @@ TEST(SpatialKnn, GridTiesMatchDistanceMatrixPath) {
     coords(i, 0) = static_cast<double>(i % side);
     coords(i, 1) = static_cast<double>(i / side);
   }
-  const Matrix dense = graph::pairwise_euclidean(coords);
+  const Matrix dense = ref::pairwise_euclidean(coords);
   for (const std::size_t k : {std::size_t{6}, std::size_t{10}}) {
     const ts::NeighborList want = graph::knn_from_distances(dense, k);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -446,7 +449,7 @@ TEST(SpatialKnn, RejectNonFiniteRows) {
     EXPECT_NE(std::string(e.what()).find("row 4"), std::string::npos)
         << e.what();
   }
-  Matrix dist = graph::pairwise_euclidean(rng.normal_matrix(10, 2, 1.0));
+  Matrix dist = ref::pairwise_euclidean(rng.normal_matrix(10, 2, 1.0));
   dist(6, 2) = std::numeric_limits<double>::quiet_NaN();
   try {
     (void)graph::knn_from_distances(dist, 3);
@@ -477,24 +480,25 @@ TEST(CsrGraphPipeline, MatchesDensePipelineBitwise) {
   const Matrix adj_dense = adj.to_dense();
 
   // Degrees.
-  EXPECT_EQ(graph::degree_vector(adj), graph::degree_vector(adj_dense));
+  EXPECT_EQ(graph::degree_vector(adj),
+            ref::degree_vector(adj_dense));
 
   // Normalized Laplacian.
   const CsrMatrix lap = graph::normalized_laplacian_csr(adj);
   const CsrMatrix lap_ref =
-      CsrMatrix::from_dense(graph::normalized_laplacian(adj_dense));
+      CsrMatrix::from_dense(ref::normalized_laplacian(adj_dense));
   EXPECT_EQ(lap.row_ptr(), lap_ref.row_ptr());
   EXPECT_EQ(lap.col_idx(), lap_ref.col_idx());
   EXPECT_EQ(lap.values(), lap_ref.values());
 
   // Largest eigenvalue: identical power iteration.
   EXPECT_EQ(graph::largest_eigenvalue(lap),
-            graph::largest_eigenvalue(lap.to_dense()));
+            ref::largest_eigenvalue(lap.to_dense()));
 
   // Chebyshev rescaling.
   const CsrMatrix slap = graph::scaled_laplacian_csr(lap);
   const CsrMatrix slap_ref =
-      CsrMatrix::from_dense(graph::scaled_laplacian(lap.to_dense()));
+      CsrMatrix::from_dense(ref::scaled_laplacian(lap.to_dense()));
   EXPECT_EQ(slap.row_ptr(), slap_ref.row_ptr());
   EXPECT_EQ(slap.col_idx(), slap_ref.col_idx());
   EXPECT_EQ(slap.values(), slap_ref.values());
@@ -527,8 +531,8 @@ TEST(CsrGraphPipeline, IsolatedNodesGetIdentityRows) {
   opts.sigma = 1.0;
   const CsrMatrix adj = graph::gaussian_knn_adjacency(knn, opts);
   const CsrMatrix lap = graph::normalized_laplacian_csr(adj);
-  const Matrix ref = graph::normalized_laplacian(adj.to_dense());
-  EXPECT_EQ(lap.to_dense(), ref);
+  const Matrix want = ref::normalized_laplacian(adj.to_dense());
+  EXPECT_EQ(lap.to_dense(), want);
   EXPECT_EQ(lap.to_dense()(4, 4), 1.0);
 }
 

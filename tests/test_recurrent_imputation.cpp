@@ -112,7 +112,7 @@ class RecurrentImputationTest : public ::testing::TestWithParam<std::string> {
   data::TrafficDataset ds_;
   std::unique_ptr<data::WindowSampler> sampler_;
   std::unique_ptr<HeterogeneousGraphs> graphs_;
-  Matrix lap_;
+  CsrMatrix lap_;
 };
 
 TEST_P(RecurrentImputationTest, ImputeKeepsObserved) {

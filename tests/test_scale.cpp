@@ -106,7 +106,6 @@ TEST(CityScale, TrainAndForecastAt16kNodes) {
   gcfg.dtw_band = 3;
   Rng rng(9);
   core::HeterogeneousGraphs graphs(ds, train_end, gcfg, rng);
-  ASSERT_TRUE(graphs.sparse_mode());
   ASSERT_EQ(graphs.num_nodes(), n);
   const ts::KnnStats& st = graphs.temporal_knn_stats();
   std::printf(

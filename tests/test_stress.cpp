@@ -208,7 +208,8 @@ TEST(AirQuality, TrainableEndToEnd) {
   nz.normalize(ds);
   const data::WindowSampler sampler(ds, 8, 4);
   const data::SplitIndices split = sampler.split();
-  const Matrix lap = graph::scaled_laplacian_from_distances(ds.geo_distances);
+  const CsrMatrix lap =
+      graph::scaled_laplacian_from_distances(ds.geo_distances);
   baselines::NeuralBaselineConfig cfg;
   cfg.lookback = 8;
   cfg.horizon = 4;
@@ -242,7 +243,7 @@ TEST(Determinism, FullPipelineReproducesExactly) {
     const data::ZScoreNormalizer nz(ds, train_end);
     nz.normalize(ds);
     const data::WindowSampler sampler(ds, 6, 3);
-    const Matrix lap =
+    const CsrMatrix lap =
         graph::scaled_laplacian_from_distances(ds.geo_distances);
     baselines::NeuralBaselineConfig bcfg;
     bcfg.lookback = 6;

@@ -362,8 +362,8 @@ TEST(TapeArena, LeafIsDeduplicatedPerResetCycle) {
   EXPECT_EQ(tape.num_nodes(), 1u);
   // Gradient still accumulates once per use of the shared node.
   p.zero_grad();
-  tape.backward(tape.sum_all(tape.add(a, b)));
-  EXPECT_EQ(p.grad()(0, 0), 2.0);
+  tape.backward(tape.mean_all(tape.add(a, b)));
+  EXPECT_EQ(p.grad()(0, 0), 0.5);  // 2 uses x d(mean)/dx = 1/4
   // A reset clears the cache: the next leaf() re-snapshots the parameter.
   tape.reset();
   p.value()(0, 0) += 1.0;

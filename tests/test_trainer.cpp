@@ -12,7 +12,7 @@ namespace {
 
 struct Fixture {
   data::TrafficDataset ds;
-  Matrix lap;
+  CsrMatrix lap;
   std::unique_ptr<data::WindowSampler> sampler;
   data::SplitIndices split;
 
