@@ -1,5 +1,6 @@
 #include "baselines/classical.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "tensor/linalg.hpp"
@@ -12,6 +13,16 @@ namespace {
 /// constant so calling the trainer on them is a harmless no-op.
 ad::Var zero_loss(ad::Tape& tape) { return tape.constant(Matrix(1, 1)); }
 
+/// The first `n` steps of a dataset series, read in place.
+std::span<const Matrix> prefix(const std::vector<Matrix>& series,
+                               std::size_t n) {
+  if (n > series.size()) {
+    throw std::invalid_argument(
+        "HistoricalAverageModel: train_end past the end of the dataset");
+  }
+  return std::span(series).first(n);
+}
+
 }  // namespace
 
 // ---- HistoricalAverageModel ------------------------------------------------
@@ -21,10 +32,7 @@ HistoricalAverageModel::HistoricalAverageModel(const data::TrafficDataset& ds,
                                                std::size_t lookback,
                                                std::size_t horizon,
                                                std::size_t target_feature)
-    : profile_(std::vector<Matrix>(ds.truth.begin(),
-                                   ds.truth.begin() + static_cast<std::ptrdiff_t>(train_end)),
-               std::vector<Matrix>(ds.mask.begin(),
-                                   ds.mask.begin() + static_cast<std::ptrdiff_t>(train_end)),
+    : profile_(prefix(ds.truth, train_end), prefix(ds.mask, train_end),
                ds.steps_per_day, target_feature),
       steps_per_day_(ds.steps_per_day),
       lookback_(lookback),

@@ -43,6 +43,12 @@ void gemm_acc(const float* a, std::size_t rows, std::size_t k, const float* b,
       });
 }
 
+// The elementwise loops below and in the forward (bias rows, ReLU, the
+// complement, the Chebyshev update, the f64 → f32 load) are left to the
+// compiler's vectorizer (src/core/CMakeLists.txt): lanes are independent
+// elements and nothing is reassociated, so they stay bitwise the scalar
+// loops.
+
 /// c[r, :] += bias[0, :] for every row.
 void add_bias_rows(float* c, const float* bias, std::size_t rows,
                    std::size_t m) {
@@ -50,6 +56,11 @@ void add_bias_rows(float* c, const float* bias, std::size_t rows,
     float* row = c + r * m;
     for (std::size_t j = 0; j < m; ++j) row[j] += bias[j];
   }
+}
+
+/// dst[i] = src[i] narrowed to f32.
+void narrow(float* dst, const double* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
 }
 
 FMatrix to_f32(const Matrix& m) { return FMatrix::from(m); }
@@ -203,13 +214,18 @@ InferenceEngine::Workspace InferenceEngine::make_workspace() const {
   Workspace ws;
   const std::size_t rows = max_batch_ * n_;
   const std::size_t cheb_width = std::max(f_, gcn_dim_);
+  const std::size_t steps = (bidirectional_ ? 2 : 1) * lookback_;
   ws.xobs.reserve(lookback_);
   ws.mask.reserve(lookback_);
-  ws.zcat.reserve(lookback_);
   for (std::size_t t = 0; t < lookback_; ++t) {
     ws.xobs.emplace_back(rows, f_);
     ws.mask.emplace_back(rows, f_);
-    ws.zcat.emplace_back(rows, z_width_);
+  }
+  ws.s_step.reserve(steps);
+  ws.h_step.reserve(steps);
+  for (std::size_t i = 0; i < steps; ++i) {
+    ws.s_step.emplace_back(rows, gcn_dim_);
+    ws.h_step.emplace_back(rows, lstm_dim_);
   }
   ws.est = FMatrix(rows, f_);
   ws.comp = FMatrix(rows, f_);
@@ -218,15 +234,11 @@ InferenceEngine::Workspace InferenceEngine::make_workspace() const {
   ws.cheb_p = FMatrix(rows, cheb_width);
   ws.lap_xt = FMatrix(cheb_width, n_);
   ws.lap_ot = FMatrix(cheb_width, n_);
-  ws.s = FMatrix(rows, gcn_dim_);
-  ws.s2 = FMatrix(rows, gcn_dim_);
+  ws.s1 = FMatrix(has_hgcn2_ ? rows : 0, gcn_dim_);
   ws.gcn_tmp = FMatrix(rows, gcn_dim_);
-  ws.rnn_in = FMatrix(rows, gcn_dim_ + f_);
   ws.gates = FMatrix(rows, 4 * lstm_dim_);
   ws.gates_h = FMatrix(rows, 4 * lstm_dim_);
-  ws.h = FMatrix(rows, lstm_dim_);
   ws.c = FMatrix(rows, lstm_dim_);
-  ws.zdir = FMatrix(rows, gcn_dim_ + lstm_dim_);
   ws.scores = FMatrix(rows, lookback_);
   ws.mixed = FMatrix(rows, z_width_);
   ws.pred = FMatrix(rows, horizon_);
@@ -361,22 +373,29 @@ void InferenceEngine::run_hgcn(const HgcnPlan& plan, const float* x,
 }
 
 void InferenceEngine::run_direction(const DirPlan& dir, Workspace& ws,
-                                    std::size_t batch, bool reverse,
-                                    std::size_t col0) const {
+                                    std::size_t batch, std::size_t d) const {
   const std::size_t rows = batch * n_;
   const std::size_t p = gcn_dim_, hdim = lstm_dim_, f = f_;
   const std::size_t gates_w = (cell_ == nn::CellKind::kLstm ? 4 : 3) * hdim;
   const simd::Kernels& kern = simd::active_kernels();
-  std::fill(ws.h.data(), ws.h.data() + rows * hdim, 0.0f);
+  // Row ranges of the packed weights: W_ih over [s_t | m_t] and W_est over
+  // [s_t | h_t] are read as consecutive k-ranges, which keeps each output
+  // element's ascending-k chain (DESIGN.md §14: split-K).
+  const float* w_ih_s = dir.w_ih.data();
+  const float* w_ih_m = w_ih_s + p * gates_w;
+  const float* est_w_s = dir.est_w.data();
+  const float* est_w_h = est_w_s + p * f;
   std::fill(ws.c.data(), ws.c.data() + rows * hdim, 0.0f);
-  bool have_est = false;
+  const float* h_prev = nullptr;  // h_{t−1}; none before the first step
 
   for (std::size_t k = 0; k < lookback_; ++k) {
-    const std::size_t t = reverse ? lookback_ - 1 - k : k;
+    const std::size_t t = d == 1 ? lookback_ - 1 - k : k;
+    FMatrix& s_t = ws.s_step[d * lookback_ + t];
+    float* h_t = ws.h_step[d * lookback_ + t].data();
     const float* xo = ws.xobs[t].data();
     const float* mk = ws.mask[t].data();
     float* cp = ws.comp.data();
-    if (!have_est) {
+    if (k == 0) {
       // First visited step: X̂ is zero, so the complement is just x_obs.
       std::memcpy(cp, xo, rows * f * sizeof(float));
     } else {
@@ -385,117 +404,161 @@ void InferenceEngine::run_direction(const DirPlan& dir, Workspace& ws,
         cp[i] = xo[i] + (1.0f - mk[i]) * e[i];
       }
     }
-    run_hgcn(hgcn1_, cp, ws.s, ws, batch, t);
-    const float* sfeat = ws.s.data();
     if (has_hgcn2_) {
-      run_hgcn(hgcn2_, ws.s.data(), ws.s2, ws, batch, t);
-      sfeat = ws.s2.data();
+      run_hgcn(hgcn1_, cp, ws.s1, ws, batch, t);
+      run_hgcn(hgcn2_, ws.s1.data(), s_t, ws, batch, t);
+    } else {
+      run_hgcn(hgcn1_, cp, s_t, ws, batch, t);
     }
-    // rnn input [s_t | m_t]
-    float* rin = ws.rnn_in.data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::memcpy(rin + r * (p + f), sfeat + r * p, p * sizeof(float));
-      std::memcpy(rin + r * (p + f) + p, mk + r * f, f * sizeof(float));
+    // The W_hh GEMM reads h_{t−1}; at the first step that is h_t's buffer,
+    // zeroed, which the cell then overwrites. sgru_step updates h in place,
+    // so the GRU first copies h_{t−1} into h_t's buffer.
+    if (h_prev == nullptr) {
+      std::fill(h_t, h_t + rows * hdim, 0.0f);
+    } else if (cell_ == nn::CellKind::kGru) {
+      std::memcpy(h_t, h_prev, rows * hdim * sizeof(float));
     }
+    const float* h_in = h_prev == nullptr ? h_t : h_prev;
+    // gates = s_t·W_ih[0:p] + m_t·W_ih[p:p+f] (+ h·W_hh for the LSTM).
     std::fill(ws.gates.data(), ws.gates.data() + rows * gates_w, 0.0f);
-    gemm_acc(rin, rows, p + f, dir.w_ih.data(), gates_w, ws.gates.data(),
+    gemm_acc(s_t.data(), rows, p, w_ih_s, gates_w, ws.gates.data(),
              num_threads_);
+    gemm_acc(mk, rows, f, w_ih_m, gates_w, ws.gates.data(), num_threads_);
     if (cell_ == nn::CellKind::kLstm) {
-      gemm_acc(ws.h.data(), rows, hdim, dir.w_hh.data(), gates_w,
-               ws.gates.data(), num_threads_);
-      add_bias_rows(ws.gates.data(), dir.bias.data(), rows, gates_w);
-      kern.slstm_step(ws.gates.data(), ws.c.data(), ws.h.data(), rows, hdim);
+      gemm_acc(h_in, rows, hdim, dir.w_hh.data(), gates_w, ws.gates.data(),
+               num_threads_);
+      kern.slstm_step(ws.gates.data(), dir.bias.data(), ws.c.data(), h_t,
+                      rows, hdim);
     } else {  // GRU: [r | z | n], n = tanh(xn + r ⊙ hn + bn)
       std::fill(ws.gates_h.data(), ws.gates_h.data() + rows * gates_w, 0.0f);
-      gemm_acc(ws.h.data(), rows, hdim, dir.w_hh.data(), gates_w,
-               ws.gates_h.data(), num_threads_);
-      kern.sgru_step(ws.gates.data(), ws.gates_h.data(), dir.bias.data(),
-                     ws.h.data(), rows, hdim);
+      gemm_acc(h_in, rows, hdim, dir.w_hh.data(), gates_w, ws.gates_h.data(),
+               num_threads_);
+      kern.sgru_step(ws.gates.data(), ws.gates_h.data(), dir.bias.data(), h_t,
+                     rows, hdim);
     }
-    // z_t = [s_t | h_t]: packed for the estimator GEMM, and copied into the
-    // head's per-step buffer at this direction's column offset.
-    float* zd = ws.zdir.data();
-    const std::size_t zw = p + hdim;
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::memcpy(zd + r * zw, sfeat + r * p, p * sizeof(float));
-      std::memcpy(zd + r * zw + p, ws.h.data() + r * hdim,
-                  hdim * sizeof(float));
-      std::memcpy(ws.zcat[t].data() + r * z_width_ + col0, zd + r * zw,
-                  zw * sizeof(float));
-    }
+    h_prev = h_t;
+    // X̂ for the next step: est = s_t·W_est[0:p] + h_t·W_est[p:] + b. The
+    // last step's estimate would feed no complement, so it is not formed.
+    if (k + 1 == lookback_) break;
     std::fill(ws.est.data(), ws.est.data() + rows * f, 0.0f);
-    gemm_acc(zd, rows, zw, dir.est_w.data(), f, ws.est.data(), num_threads_);
+    gemm_acc(s_t.data(), rows, p, est_w_s, f, ws.est.data(), num_threads_);
+    gemm_acc(h_t, rows, hdim, est_w_h, f, ws.est.data(), num_threads_);
     add_bias_rows(ws.est.data(), dir.est_b.data(), rows, f);
-    have_est = true;
+  }
+}
+
+template <class Fn>
+void InferenceEngine::for_each_z_part(const Workspace& ws, std::size_t t,
+                                      Fn&& fn) const {
+  const std::size_t dirs = bidirectional_ ? 2 : 1;
+  for (std::size_t d = 0; d < dirs; ++d) {
+    const std::size_t col = d * (gcn_dim_ + lstm_dim_);
+    fn(ws.s_step[d * lookback_ + t].data(), gcn_dim_, col);
+    fn(ws.h_step[d * lookback_ + t].data(), lstm_dim_, col + gcn_dim_);
+  }
+}
+
+void InferenceEngine::check_call(std::size_t batch,
+                                 const Workspace& ws) const {
+  if (batch == 0 || batch > max_batch_) {
+    throw std::invalid_argument(
+        "InferenceEngine: batch must be in [1, max_batch]");
+  }
+  if (ws.pred.rows() != max_batch_ * n_ || ws.pred.cols() != horizon_ ||
+      ws.xobs.size() != lookback_) {
+    throw std::invalid_argument(
+        "InferenceEngine: workspace from another engine");
+  }
+}
+
+void InferenceEngine::load_window(const data::Window& w,
+                                  const std::size_t* rows,
+                                  std::size_t src_rows, std::size_t b,
+                                  Workspace& ws) const {
+  if (w.x_obs.size() != lookback_ || w.x_mask.size() != lookback_) {
+    throw std::invalid_argument("InferenceEngine: window lookback mismatch");
+  }
+  for (std::size_t t = 0; t < lookback_; ++t) {
+    const Matrix& xo = w.x_obs[t];
+    const Matrix& mk = w.x_mask[t];
+    if (xo.rows() != src_rows || xo.cols() != f_ || mk.rows() != src_rows ||
+        mk.cols() != f_) {
+      throw std::invalid_argument("InferenceEngine: window shape mismatch");
+    }
+    float* xdst = ws.xobs[t].data() + b * n_ * f_;
+    float* mdst = ws.mask[t].data() + b * n_ * f_;
+    if (rows == nullptr) {
+      narrow(xdst, xo.data(), n_ * f_);
+      narrow(mdst, mk.data(), n_ * f_);
+    } else {
+      for (std::size_t r = 0; r < n_; ++r) {
+        narrow(xdst + r * f_, xo.data() + rows[r] * f_, f_);
+        narrow(mdst + r * f_, mk.data() + rows[r] * f_, f_);
+      }
+    }
+    ws.slots[b * lookback_ + t] = (w.slot + t) % steps_per_day_;
   }
 }
 
 const FMatrix& InferenceEngine::predict_batch(
     const data::Window* const* windows, std::size_t batch,
     Workspace& ws) const {
-  if (batch == 0 || batch > max_batch_) {
-    throw std::invalid_argument(
-        "InferenceEngine::predict_batch: batch must be in [1, max_batch]");
-  }
-  if (ws.pred.rows() != max_batch_ * n_ || ws.pred.cols() != horizon_ ||
-      ws.xobs.size() != lookback_) {
-    throw std::invalid_argument(
-        "InferenceEngine::predict_batch: workspace from another engine");
-  }
-  const std::size_t rows = batch * n_;
-  // Load: narrow each window's observations and masks into the row-stacked
-  // f32 buffers and tabulate its per-step time-of-day slots.
+  check_call(batch, ws);
   for (std::size_t b = 0; b < batch; ++b) {
-    const data::Window& w = *windows[b];
-    if (w.x_obs.size() != lookback_ || w.x_mask.size() != lookback_) {
-      throw std::invalid_argument(
-          "InferenceEngine::predict_batch: window lookback mismatch");
-    }
-    for (std::size_t t = 0; t < lookback_; ++t) {
-      const Matrix& xo = w.x_obs[t];
-      const Matrix& mk = w.x_mask[t];
-      if (xo.rows() != n_ || xo.cols() != f_ || mk.rows() != n_ ||
-          mk.cols() != f_) {
-        throw std::invalid_argument(
-            "InferenceEngine::predict_batch: window shape mismatch");
-      }
-      float* xdst = ws.xobs[t].data() + b * n_ * f_;
-      float* mdst = ws.mask[t].data() + b * n_ * f_;
-      const double* xsrc = xo.data();
-      const double* msrc = mk.data();
-      for (std::size_t i = 0; i < n_ * f_; ++i) {
-        xdst[i] = static_cast<float>(xsrc[i]);
-        mdst[i] = static_cast<float>(msrc[i]);
-      }
-      ws.slots[b * lookback_ + t] = (w.slot + t) % steps_per_day_;
-    }
+    load_window(*windows[b], nullptr, n_, b, ws);
   }
+  return forward(batch, ws);
+}
 
-  run_direction(fwd_, ws, batch, /*reverse=*/false, 0);
-  if (bidirectional_) {
-    run_direction(bwd_, ws, batch, /*reverse=*/true, gcn_dim_ + lstm_dim_);
+const FMatrix& InferenceEngine::predict_rows(const data::Window& w,
+                                             std::span<const std::size_t> rows,
+                                             Workspace& ws) const {
+  check_call(1, ws);
+  if (rows.size() != n_) {
+    throw std::invalid_argument(
+        "InferenceEngine::predict_rows: need one row index per node");
   }
+  const std::size_t src_rows = w.x_obs.empty() ? 0 : w.x_obs.front().rows();
+  if (*std::max_element(rows.begin(), rows.end()) >= src_rows) {
+    throw std::invalid_argument(
+        "InferenceEngine::predict_rows: row index outside the window");
+  }
+  load_window(w, rows.data(), src_rows, 0, ws);
+  return forward(1, ws);
+}
+
+const FMatrix& InferenceEngine::forward(std::size_t batch,
+                                        Workspace& ws) const {
+  const std::size_t rows = batch * n_;
+  run_direction(fwd_, ws, batch, 0);
+  if (bidirectional_) run_direction(bwd_, ws, batch, 1);
 
   std::fill(ws.pred.data(), ws.pred.data() + rows * horizon_, 0.0f);
   if (!attention_head_) {
-    // pred = concat(z_0..z_{T-1}) · W + b, evaluated as Σ_t z_t · W_t with
-    // W_t = rows [t·zw, (t+1)·zw) of the head weight — identical FMA order,
-    // no (R x T·zw) concat buffer.
+    // pred = concat(z_0..z_{T-1}) · W + b, evaluated as Σ_t Σ_parts
+    // part · W[rows of that part] in ascending column order — identical
+    // FMA order, no concat buffer.
     for (std::size_t t = 0; t < lookback_; ++t) {
-      gemm_acc(ws.zcat[t].data(), rows, z_width_,
-               head_w_.data() + t * z_width_ * horizon_, horizon_,
-               ws.pred.data(), num_threads_);
+      const float* w_t = head_w_.data() + t * z_width_ * horizon_;
+      for_each_z_part(ws, t, [&](const float* part, std::size_t width,
+                                 std::size_t col) {
+        gemm_acc(part, rows, width, w_t + col * horizon_, horizon_,
+                 ws.pred.data(), num_threads_);
+      });
     }
     add_bias_rows(ws.pred.data(), head_b_.data(), rows, horizon_);
   } else {
     // scores[:, t] = z_t · w_a + b_a, then row-softmax over t, then
     // pred = (Σ_t α_t ⊙ z_t) · W + b.
     float* col = ws.cheb_p.data();  // free at head time; ≥ rows floats
+    const float ab = attn_b_.data()[0];
     for (std::size_t t = 0; t < lookback_; ++t) {
       std::fill(col, col + rows, 0.0f);
-      gemm_acc(ws.zcat[t].data(), rows, z_width_, attn_w_.data(), 1, col,
-               num_threads_);
-      const float ab = attn_b_.data()[0];
+      for_each_z_part(ws, t, [&](const float* part, std::size_t width,
+                                 std::size_t c0) {
+        gemm_acc(part, rows, width, attn_w_.data() + c0, 1, col,
+                 num_threads_);
+      });
       for (std::size_t r = 0; r < rows; ++r) {
         ws.scores(r, t) = col[r] + ab;
       }
@@ -514,10 +577,13 @@ const FMatrix& InferenceEngine::predict_batch(
     std::fill(ws.mixed.data(), ws.mixed.data() + rows * z_width_, 0.0f);
     const simd::Kernels& kern = simd::active_kernels();
     for (std::size_t t = 0; t < lookback_; ++t) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        kern.saxpy(ws.mixed.data() + r * z_width_, ws.scores(r, t),
-                   ws.zcat[t].data() + r * z_width_, z_width_);
-      }
+      for_each_z_part(ws, t, [&](const float* part, std::size_t width,
+                                 std::size_t c0) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          kern.saxpy(ws.mixed.data() + r * z_width_ + c0, ws.scores(r, t),
+                     part + r * width, width);
+        }
+      });
     }
     gemm_acc(ws.mixed.data(), rows, z_width_, head_w_.data(), horizon_,
              ws.pred.data(), num_threads_);

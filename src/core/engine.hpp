@@ -20,7 +20,12 @@
 //     (outᵀ = xᵀ·L̃ᵀ — see GraphOp) for moderately dense ones. Every op is
 //     row- or block-local with identical per-element accumulation order, so
 //     a batched forward is BITWISE equal to B sequential batch-1 forwards
-//     (tests/test_engine.cpp).
+//     (tests/test_engine.cpp);
+//   * the forward copies no rows: a concatenation such as [s_t | m_t] or
+//     z_t = [s_t | h_t] is never packed, its GEMM runs as consecutive
+//     k-ranges over the parts instead (split-K, DESIGN.md §14), and
+//     predict_rows() narrows a subset of a full-graph window's rows
+//     straight into the workspace (the sharded engine's load).
 //
 // Accuracy contract: f32 outputs are ULP-bounded against the f64 tape
 // forward, not bitwise. The bound is checked per element as
@@ -31,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/rihgcn.hpp"
@@ -64,7 +70,7 @@ class InferenceEngine {
   /// `model`, but the graph ops come from `laps` — one cluster's
   /// sub-Laplacians (RihgcnModel::make_clusters), whose row count is the
   /// shard's node count n. Windows fed to predict_batch must then be
-  /// n x F; the caller gathers the cluster's rows.
+  /// n x F; predict_rows reads the cluster's rows of a full-graph window.
   InferenceEngine(const RihgcnModel& model, Options options,
                   const HgcnBlock::Laps& laps);
   virtual ~InferenceEngine() = default;
@@ -74,9 +80,9 @@ class InferenceEngine {
   /// max_batch at construction; predict_batch never grows them.
   class Workspace {
    public:
-    /// Stacked f32 predictions of the last predict_batch call
-    /// ((B·N) x horizon, rows of window b at [b·N, (b+1)·N)). Valid until
-    /// the next predict_batch call with this workspace.
+    /// Stacked f32 predictions of the last predict_batch or predict_rows
+    /// call ((B·N) x horizon, rows of window b at [b·N, (b+1)·N)). Valid
+    /// until the next call with this workspace.
     [[nodiscard]] const FMatrix& predictions() const noexcept { return pred; }
 
    private:
@@ -88,12 +94,14 @@ class InferenceEngine {
     FMatrix comp;                ///< R x F — complement X̃_t
     FMatrix cheb_a, cheb_b, cheb_p;  ///< R x max(F, gcn_dim) recurrence
     FMatrix lap_xt, lap_ot;      ///< max(F, gcn_dim) x N transposed-lap scratch
-    FMatrix s, s2, gcn_tmp;      ///< R x gcn_dim
-    FMatrix rnn_in;              ///< R x (gcn_dim + F)
+    FMatrix s1, gcn_tmp;         ///< R x gcn_dim (s1: first of two HGCNs)
     FMatrix gates, gates_h;      ///< R x 4H (GRU uses the 3H prefix)
-    FMatrix h, c;                ///< R x H
-    FMatrix zdir;                ///< R x (gcn_dim + H)
-    std::vector<FMatrix> zcat;   ///< per step, R x z_width
+    FMatrix c;                   ///< R x H LSTM cell state
+    /// Per direction d and lookback step t, at index d·lookback + t: the
+    /// HGCN output s_t (R x gcn_dim) and the hidden state h_t (R x H). They
+    /// are the two parts of z_t = [s_t | h_t], which the estimator and the
+    /// head read in place as consecutive k-ranges; nothing packs them.
+    std::vector<FMatrix> s_step, h_step;
     FMatrix scores;              ///< R x lookback (attention head)
     FMatrix mixed;               ///< R x z_width (attention head)
     FMatrix pred;                ///< R x horizon
@@ -110,6 +118,16 @@ class InferenceEngine {
   /// request.
   virtual const FMatrix& predict_batch(const data::Window* const* windows,
                                        std::size_t batch, Workspace& ws) const;
+
+  /// Batch-1 forward over a subset of a larger window's node rows: row r of
+  /// the result forecasts node rows[r] of `w`. Bitwise equal to
+  /// predict_batch on data::take_rows(w, rows), but the rows are narrowed
+  /// straight from `w` into the workspace, with no gathered copy.
+  /// rows.size() must equal num_nodes() and every entry must index a row of
+  /// each of w's x_obs/x_mask matrices. ShardedEngine loads its shards so.
+  const FMatrix& predict_rows(const data::Window& w,
+                              std::span<const std::size_t> rows,
+                              Workspace& ws) const;
 
   /// Convenience single-query forward through an internal workspace
   /// (allocates only the returned Matrix). Same numerics as a batch of 1.
@@ -176,6 +194,17 @@ class InferenceEngine {
       const std::vector<ad::Parameter*>& params, std::size_t offset,
       std::size_t order);
 
+  /// Throws unless 1 ≤ batch ≤ max_batch and ws comes from this engine.
+  void check_call(std::size_t batch, const Workspace& ws) const;
+  /// Narrows window w's observations and masks into batch block b of the
+  /// workspace and tabulates its slots. rows (n_ entries) selects w's node
+  /// rows; null reads rows [0, n_). `src_rows` is the row count every x_obs
+  /// and x_mask matrix of w must have.
+  void load_window(const data::Window& w, const std::size_t* rows,
+                   std::size_t src_rows, std::size_t b, Workspace& ws) const;
+  /// The forward over the first `batch` loaded blocks; returns ws.pred.
+  const FMatrix& forward(std::size_t batch, Workspace& ws) const;
+
   /// out = L · x per diagonal block (rows = batch · n_); lap_xt/lap_ot
   /// workspace scratch back the transposed-dense path.
   void apply_lap(const GraphOp& g, const float* x, float* out,
@@ -187,9 +216,15 @@ class InferenceEngine {
   /// s = HGCN(x) (interval-weighted graph mixture + ReLU), per-window slots.
   void run_hgcn(const HgcnPlan& plan, const float* x, FMatrix& out,
                 Workspace& ws, std::size_t batch, std::size_t step) const;
-  /// One recurrent direction; fills ws.zcat[t] columns [col0, col0+p+q).
+  /// One recurrent direction d (0 forward, 1 backward); fills that
+  /// direction's ws.s_step/ws.h_step entries.
   void run_direction(const DirPlan& dir, Workspace& ws, std::size_t batch,
-                     bool reverse, std::size_t col0) const;
+                     std::size_t d) const;
+  /// Calls fn(part, width, col) for each part of z_t in column order —
+  /// [fwd s_t | fwd h_t | bwd s_t | bwd h_t], col its first column in z_t —
+  /// so a GEMM over z_t runs as consecutive k-ranges.
+  template <class Fn>
+  void for_each_z_part(const Workspace& ws, std::size_t t, Fn&& fn) const;
 
   // ---- compiled plan -------------------------------------------------------
   std::size_t n_ = 0, f_ = 0;

@@ -1,6 +1,7 @@
 #include "core/hetero_graphs.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -84,12 +85,9 @@ HeterogeneousGraphs::HeterogeneousGraphs(const data::TrafficDataset& ds,
   }
 
   // Historical profile of the training prefix only — no test leakage.
-  std::vector<Matrix> values(ds.truth.begin(),
-                             ds.truth.begin() + static_cast<std::ptrdiff_t>(train_end));
-  std::vector<Matrix> masks(ds.mask.begin(),
-                            ds.mask.begin() + static_cast<std::ptrdiff_t>(train_end));
-  const ts::HistoricalProfile profile(values, masks, ds.steps_per_day,
-                                      config.feature);
+  const ts::HistoricalProfile profile(
+      std::span(ds.truth).first(train_end),
+      std::span(ds.mask).first(train_end), ds.steps_per_day, config.feature);
 
   // ---- Eq. 2 timeline partition at coarse (hourly) granularity ------------
   const Matrix day_profile = profile.day_profile(config.partition_slots);

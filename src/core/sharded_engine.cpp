@@ -1,42 +1,11 @@
 #include "core/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "tensor/parallel.hpp"
 
 namespace rihgcn::core {
-
-namespace {
-
-// Copies the rows in `nodes` of the members InferenceEngine::predict_batch
-// reads (x_obs, x_mask, slot) into `dst`, reusing its matrices across
-// calls. data::take_rows would also copy x_truth, y and y_mask, which the
-// forward never reads.
-void gather_engine_inputs(const data::Window& w,
-                          const std::vector<std::size_t>& nodes,
-                          data::Window& dst) {
-  const auto gather = [&nodes](const std::vector<Matrix>& src,
-                               std::vector<Matrix>& out) {
-    out.resize(src.size());
-    for (std::size_t t = 0; t < src.size(); ++t) {
-      const std::size_t cols = src[t].cols();
-      if (out[t].rows() != nodes.size() || out[t].cols() != cols) {
-        out[t] = Matrix(nodes.size(), cols);
-      }
-      for (std::size_t r = 0; r < nodes.size(); ++r) {
-        std::memcpy(out[t].data() + r * cols, src[t].data() + nodes[r] * cols,
-                    cols * sizeof(double));
-      }
-    }
-  };
-  gather(w.x_obs, dst.x_obs);
-  gather(w.x_mask, dst.x_mask);
-  dst.slot = w.slot;
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(const RihgcnModel& model, Options options)
     : horizon_(model.config().horizon), parallel_(options.parallel) {
@@ -71,12 +40,10 @@ Matrix ShardedEngine::predict(const data::Window& w) {
   auto run = [&](std::size_t s0, std::size_t s1) {
     for (std::size_t s = s0; s < s1; ++s) {
       Shard& sh = shards_[s];
-      // Gather this shard's rows, forward through its sub-engine, scatter
-      // only the OWNED rows — owned sets partition the nodes, so the
-      // writes below are disjoint across shards (race-free in parallel).
-      gather_engine_inputs(w, sh.nodes, sh.input);
-      const data::Window* ptr = &sh.input;
-      const FMatrix& pred = sh.engine->predict_batch(&ptr, 1, sh.ws);
+      // Forward this shard's rows of the window through its sub-engine,
+      // scatter only the OWNED rows — owned sets partition the nodes, so
+      // the writes below are disjoint across shards (race-free in parallel).
+      const FMatrix& pred = sh.engine->predict_rows(w, sh.nodes, sh.ws);
       for (std::size_t r = 0; r < sh.nodes.size(); ++r) {
         if (!sh.owned_row[r]) continue;
         for (std::size_t h = 0; h < horizon_; ++h) {

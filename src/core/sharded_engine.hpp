@@ -10,8 +10,9 @@
 // and compiles one private InferenceEngine per cluster over that cluster's
 // sub-graph through the public sub-graph constructor. A predict() then
 //
-//   1. gathers each shard's rows of the query window's inputs (x_obs and
-//      x_mask, into a per-shard buffer reused across calls),
+//   1. loads each shard's rows of the query window's x_obs and x_mask
+//      straight into that shard's f32 workspace (InferenceEngine::
+//      predict_rows: a row-index load, no gathered copy of the window),
 //   2. runs every shard's sub-engine — in parallel across shards on the
 //      global ThreadPool when Options::parallel is set (each shard owns a
 //      private Workspace, and the shard bodies run with
@@ -80,7 +81,6 @@ class ShardedEngine {
     std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
     std::unique_ptr<InferenceEngine> engine;
     InferenceEngine::Workspace ws;
-    data::Window input;  ///< this shard's rows of the query's x_obs/x_mask
   };
 
   std::size_t n_ = 0;

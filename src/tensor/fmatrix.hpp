@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <new>
 #include <vector>
 
 #include "tensor/csr.hpp"
@@ -15,9 +17,36 @@
 
 namespace rihgcn {
 
+/// Allocator whose blocks start on a 64-byte boundary: a cache line, and a
+/// whole number of AVX2 vectors. std::allocator<float> only guarantees 16
+/// bytes, so the same buffer used to land at a different offset mod 64 on
+/// each run, and the kernels' loads split across cache lines differently.
+template <class T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheAlignedAllocator() noexcept = default;
+  template <class U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+
+  template <class U>
+  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 /// Dense row-major matrix of floats. Deliberately minimal: storage, shape,
 /// and conversion to/from the double Matrix — all arithmetic lives in the
-/// free kernels below.
+/// free kernels below. Storage starts on a 64-byte boundary.
 class FMatrix {
  public:
   FMatrix() = default;
@@ -45,7 +74,7 @@ class FMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, CacheAlignedAllocator<float>> data_;
 };
 
 /// Immutable CSR matrix of floats, converted once from the training-side

@@ -375,22 +375,24 @@ void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const double* ap = a.data();
   const double* bp = b.data();
   double* op = out.data();
-  // Row-partitioned; each dot product accumulates k-terms in ascending
-  // order with a single accumulator, matching the serial kernel exactly.
-  // Stays scalar even under SIMD dispatch: vectorizing over k would split
-  // the single accumulator into lanes (reassociation), breaking the bitwise
-  // contract. The matmul/matmul_at/spmm hot paths don't have this shape.
+  // Vectorized over the output columns j, never over k (that would split
+  // each dot product's single accumulator into lanes): Bᵀ goes into this
+  // thread's scratch, then the matmul_rows kernel runs on a zeroed output.
+  // Each lane is an independent j whose terms arrive in ascending k, one
+  // rounded mul and one rounded add each, from a +0 seed — the bits of the
+  // plain dot-product loop. B is a weight matrix in every tape backward, so
+  // the scratch stays small and is reused across calls.
+  thread_local std::vector<double> bt_scratch;
+  bt_scratch.resize(k * cols);
+  double* btp = bt_scratch.data();
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t kk = 0; kk < k; ++kk) btp[kk * cols + j] = bp[j * k + kk];
+  }
+  const simd::Kernels& kern = simd::active_kernels();
   for_rows(rows, rows * cols * k,
-           [ap, bp, op, k, cols](std::size_t i0, std::size_t i1) {
-             for (std::size_t i = i0; i < i1; ++i) {
-               const double* arow = ap + i * k;
-               for (std::size_t j = 0; j < cols; ++j) {
-                 const double* brow = bp + j * k;
-                 double s = 0.0;
-                 for (std::size_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-                 op[i * cols + j] = s;
-               }
-             }
+           [ap, btp, op, k, cols, &kern](std::size_t i0, std::size_t i1) {
+             std::fill(op + i0 * cols, op + i1 * cols, 0.0);
+             kern.matmul_rows(ap, btp, op, k, cols, i0, i1);
            });
 }
 

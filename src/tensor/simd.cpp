@@ -184,17 +184,17 @@ void s_smatmul_panel(const float* ap, const float* bp, float* cp,
 
 inline float s_sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-void s_lstm_step(const float* gates, float* c, float* h, std::size_t rows,
-                 std::size_t hdim) {
+void s_lstm_step(const float* gates, const float* bias, float* c, float* h,
+                 std::size_t rows, std::size_t hdim) {
   for (std::size_t r = 0; r < rows; ++r) {
     const float* g = gates + r * 4 * hdim;
     float* cr = c + r * hdim;
     float* hr = h + r * hdim;
     for (std::size_t j = 0; j < hdim; ++j) {
-      const float iv = s_sigmoidf(g[j]);
-      const float fv = s_sigmoidf(g[hdim + j]);
-      const float ov = s_sigmoidf(g[2 * hdim + j]);
-      const float gv = std::tanh(g[3 * hdim + j]);
+      const float iv = s_sigmoidf(g[j] + bias[j]);
+      const float fv = s_sigmoidf(g[hdim + j] + bias[hdim + j]);
+      const float ov = s_sigmoidf(g[2 * hdim + j] + bias[2 * hdim + j]);
+      const float gv = std::tanh(g[3 * hdim + j] + bias[3 * hdim + j]);
       const float cc = fv * cr[j] + iv * gv;
       cr[j] = cc;
       hr[j] = ov * std::tanh(cc);

@@ -96,13 +96,16 @@ struct Kernels {
   /// ascending-k per-element FMA order as smatmul_rows.
   void (*smatmul_panel)(const float* a, const float* b, float* c,
                         std::size_t rows, std::size_t k, std::size_t m);
-  /// Fused LSTM gate row math: per row r of `gates` ((rows x 4h), layout
-  /// [i|f|o|g], biases already added), updates c and h ((rows x h)):
-  ///   c = σ(f)⊙c + σ(i)⊙tanh(g);  h = σ(o)⊙tanh(c)
+  /// Fused LSTM gate row math: `gates` ((rows x 4h), layout [i|f|o|g]) are
+  /// the summed input- and hidden-side pre-activations, bias is the shared
+  /// 4h row; with a = gates + bias (one f32 add per element, so passing a
+  /// zero bias after adding the bias in first gives the same bits), updates
+  /// c and h ((rows x h)):
+  ///   c = σ(a_f)⊙c + σ(a_i)⊙tanh(a_g);  h = σ(a_o)⊙tanh(c)
   /// The AVX2 table may evaluate σ/tanh through vectorized libm (few-ULP
   /// vs scalar libm) — float-path tolerance only, like FMA use.
-  void (*slstm_step)(const float* gates, float* c, float* h, std::size_t rows,
-                     std::size_t hdim);
+  void (*slstm_step)(const float* gates, const float* bias, float* c,
+                     float* h, std::size_t rows, std::size_t hdim);
   /// Fused GRU gate row math: gx/gh ((rows x 3h), layout [r|z|n]) are the
   /// input-side and hidden-side pre-activations, bias is the shared 3h row:
   ///   r = σ(gx_r+gh_r+b_r); z = σ(gx_z+gh_z+b_z);

@@ -504,19 +504,23 @@ inline __m256 vec_sigmoid(__m256 x) {
 }
 #endif
 
-void v_lstm_step(const float* gates, float* c, float* h, std::size_t rows,
-                 std::size_t hdim) {
+// a = gates + bias, one _mm256_add_ps / scalar add per element.
+void v_lstm_step(const float* gates, const float* bias, float* c, float* h,
+                 std::size_t rows, std::size_t hdim) {
   for (std::size_t r = 0; r < rows; ++r) {
     const float* g = gates + r * 4 * hdim;
     float* cr = c + r * hdim;
     float* hr = h + r * hdim;
     std::size_t j = 0;
 #if defined(RIHGCN_HAVE_MVEC)
+    const auto pre = [g, bias](std::size_t i) {
+      return _mm256_add_ps(_mm256_loadu_ps(g + i), _mm256_loadu_ps(bias + i));
+    };
     for (; j + 8 <= hdim; j += 8) {
-      const __m256 iv = vec_sigmoid(_mm256_loadu_ps(g + j));
-      const __m256 fv = vec_sigmoid(_mm256_loadu_ps(g + hdim + j));
-      const __m256 ov = vec_sigmoid(_mm256_loadu_ps(g + 2 * hdim + j));
-      const __m256 gv = _ZGVdN8v_tanhf(_mm256_loadu_ps(g + 3 * hdim + j));
+      const __m256 iv = vec_sigmoid(pre(j));
+      const __m256 fv = vec_sigmoid(pre(hdim + j));
+      const __m256 ov = vec_sigmoid(pre(2 * hdim + j));
+      const __m256 gv = _ZGVdN8v_tanhf(pre(3 * hdim + j));
       const __m256 cc = _mm256_fmadd_ps(fv, _mm256_loadu_ps(cr + j),
                                         _mm256_mul_ps(iv, gv));
       _mm256_storeu_ps(cr + j, cc);
@@ -524,10 +528,10 @@ void v_lstm_step(const float* gates, float* c, float* h, std::size_t rows,
     }
 #endif
     for (; j < hdim; ++j) {
-      const float iv = v_sigmoidf(g[j]);
-      const float fv = v_sigmoidf(g[hdim + j]);
-      const float ov = v_sigmoidf(g[2 * hdim + j]);
-      const float gv = std::tanh(g[3 * hdim + j]);
+      const float iv = v_sigmoidf(g[j] + bias[j]);
+      const float fv = v_sigmoidf(g[hdim + j] + bias[hdim + j]);
+      const float ov = v_sigmoidf(g[2 * hdim + j] + bias[2 * hdim + j]);
+      const float gv = std::tanh(g[3 * hdim + j] + bias[3 * hdim + j]);
       const float cc = fv * cr[j] + iv * gv;
       cr[j] = cc;
       hr[j] = ov * std::tanh(cc);

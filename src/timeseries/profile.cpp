@@ -4,8 +4,8 @@
 
 namespace rihgcn::ts {
 
-HistoricalProfile::HistoricalProfile(const std::vector<Matrix>& values,
-                                     const std::vector<Matrix>& mask,
+HistoricalProfile::HistoricalProfile(std::span<const Matrix> values,
+                                     std::span<const Matrix> mask,
                                      std::size_t steps_per_day,
                                      std::size_t feature) {
   if (values.empty()) {

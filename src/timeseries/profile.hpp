@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "tensor/matrix.hpp"
 
@@ -20,8 +20,10 @@ namespace rihgcn::ts {
 /// global observed mean (or 0 if the node never reports).
 class HistoricalProfile {
  public:
-  HistoricalProfile(const std::vector<Matrix>& values,
-                    const std::vector<Matrix>& mask, std::size_t steps_per_day,
+  /// Reads `values` and `mask` in place: pass a dataset's training prefix
+  /// as a span, with no copy.
+  HistoricalProfile(std::span<const Matrix> values,
+                    std::span<const Matrix> mask, std::size_t steps_per_day,
                     std::size_t feature = 0);
 
   /// N x steps_per_day matrix of per-slot averages.

@@ -63,6 +63,8 @@ TEST(HistoricalAverage, PredictsSlotProfile) {
   // predicting the same slot from different days gives identical values.
   const data::Window w2 = f.sampler->make_window(10 + f.ds.steps_per_day);
   EXPECT_TRUE(allclose(pred, ha.predict(w2), 1e-12));
+  EXPECT_THROW(HistoricalAverageModel(f.ds, f.ds.num_timesteps() + 1, 6, 3),
+               std::invalid_argument);
 }
 
 TEST(HistoricalAverage, NoTrainableParameters) {

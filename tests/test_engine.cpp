@@ -18,8 +18,9 @@
 //  * EngineSharded.*  — the cluster-sharded engine (DESIGN.md §16): one
 //    shard is bitwise the full engine (both fixtures), parallel shards are
 //    bitwise the serial sharded forward, multi-shard output stays near the
-//    full forward (Cluster-GCN halo truncation) and covers every node, and
-//    a forecast reads only the window's engine inputs.
+//    full forward (Cluster-GCN halo truncation) and covers every node, each
+//    shard's row-index load equals its sub-engine fed a gathered window,
+//    and a forecast reads only the window's engine inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -393,6 +394,61 @@ TEST(EngineSharded, DeterministicAcrossInstancesAndRejectsZeroShards) {
   EXPECT_EQ(a.predict(w), b.predict(w));
   so.num_shards = 0;
   EXPECT_THROW(core::ShardedEngine(*s.model, so), std::invalid_argument);
+}
+
+TEST(EngineSharded, RowIndexLoadMatchesTakeRowsWindow) {
+  // Each shard narrows its rows straight from the full window
+  // (InferenceEngine::predict_rows). Fed the gathered data::take_rows
+  // window instead, its sub-engine gives the same bits on every row, halo
+  // rows included, and the sharded forecast's owned rows are those bits.
+  EngineFixture s = make_setup(small_config(), /*num_temporal=*/2, kKnn);
+  core::ShardedEngine::Options so;
+  so.num_shards = 4;
+  so.seed = 3;
+  core::ShardedEngine sharded(*s.model, so);
+  std::vector<core::RihgcnModel::ClusterSpec> specs =
+      s.model->make_clusters(so.num_shards, so.seed);
+  ASSERT_EQ(sharded.num_shards(), 4u);
+  ASSERT_EQ(specs.size(), 4u);
+  core::InferenceEngine::Options eo;
+  eo.max_batch = 1;
+  for (std::size_t start : {2u, 13u}) {
+    const data::Window w = s.sampler->make_window(start);
+    const Matrix full = sharded.predict(w);
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      const core::RihgcnModel::ClusterSpec& spec = specs[k];
+      ASSERT_GT(spec.num_owned, 0u);
+      ASSERT_LT(spec.num_owned, spec.nodes.size()) << "shard " << k
+                                                   << " has no halo";
+      core::InferenceEngine sub(*s.model, eo, spec.laps);
+      auto ws_rows = sub.make_workspace();
+      auto ws_taken = sub.make_workspace();
+      const FMatrix& by_index = sub.predict_rows(w, spec.nodes, ws_rows);
+      const data::Window taken = data::take_rows(w, spec.nodes);
+      const data::Window* p = &taken;
+      const FMatrix& by_copy = sub.predict_batch(&p, 1, ws_taken);
+      for (std::size_t r = 0; r < spec.nodes.size(); ++r) {
+        for (std::size_t h = 0; h < sub.horizon(); ++h) {
+          EXPECT_EQ(by_index(r, h), by_copy(r, h))
+              << "shard " << k << " row " << r << " step " << h;
+          if (spec.owned_row[r]) {
+            EXPECT_EQ(full(spec.nodes[r], h),
+                      static_cast<double>(by_index(r, h)))
+                << "shard " << k << " node " << spec.nodes[r];
+          }
+        }
+      }
+      if (k == 0) {
+        std::vector<std::size_t> rows = spec.nodes;
+        rows.pop_back();
+        EXPECT_THROW((void)sub.predict_rows(w, rows, ws_rows),
+                     std::invalid_argument);
+        rows.push_back(w.x_obs.front().rows());  // one past the last node
+        EXPECT_THROW((void)sub.predict_rows(w, rows, ws_rows),
+                     std::invalid_argument);
+      }
+    }
+  }
 }
 
 TEST(EngineSharded, ReadsOnlyEngineInputsAndRejectsWrongNodeCount) {

@@ -18,6 +18,9 @@
 //    element.
 //  * BITWISE (f32 GEMM, AVX2 table): smatmul_rows and smatmul_panel equal a
 //    per-element ascending-k std::fmaf chain, whatever their register tiling.
+//  * BITWISE (what the f32 engine's copy-free forward relies on, both
+//    tables): a GEMM split into consecutive k-ranges equals the whole-k
+//    call, and slstm_step(g, b) equals slstm_step(g + b, 0).
 //  * RIHGCN_SIMD parsing: strict — misspelled or unsupported values throw,
 //    no silent fallback.
 //
@@ -32,6 +35,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autodiff/tape.hpp"
@@ -235,6 +239,16 @@ TEST(KernelConformance, DenseOpsIsaInvariantAcrossThreads) {
 
   // Reference: scalar ISA, serial pool.
   Matrix ref_mm, ref_at, ref_sum, ref_had;
+  // matmul_bt runs the matmul_rows kernel over a transposed copy of B, so
+  // it must keep the bits of a plain single-accumulator dot product.
+  Matrix ref_bt(a.rows(), e1.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < e1.rows(); ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < a.cols(); ++kk) acc += a(i, kk) * e1(j, kk);
+      ref_bt(i, j) = acc;
+    }
+  }
   {
     SimdBackendGuard guard(simd::Isa::kScalar, 1);
     ref_mm = matmul(a, b);
@@ -252,6 +266,8 @@ TEST(KernelConformance, DenseOpsIsaInvariantAcrossThreads) {
       EXPECT_EQ(matmul(a, b), ref_mm)
           << simd::isa_name(isa) << " @" << threads << "T";
       EXPECT_EQ(matmul_at(a, e1), ref_at)
+          << simd::isa_name(isa) << " @" << threads << "T";
+      EXPECT_EQ(matmul_bt(a, e1), ref_bt)
           << simd::isa_name(isa) << " @" << threads << "T";
       EXPECT_EQ(a + e1, ref_sum) << simd::isa_name(isa) << " @" << threads;
       EXPECT_EQ(hadamard(a, e1), ref_had)
@@ -570,6 +586,123 @@ TEST(KernelConformance, FloatGemmBitwiseMatchesFmaChain) {
         avx2.smatmul_panel(a.data(), b.data(), c.data(), rows, k, m);
         expect_same(c, "smatmul_panel");
       }
+    }
+  }
+}
+
+// ---- What the engine's copy-free forward relies on ---------------------------
+
+// The f32 engine never packs a concatenation: [A1 | A2]·B runs as A1·B_top,
+// then A2·B_bottom on the stored C (DESIGN.md §14, split-K). In both tables
+// that is bitwise the whole-k call: C is stored and reloaded exactly between
+// the ranges, and each element's terms still arrive in ascending k — on the
+// AVX2 row-block path below 64 columns and on its single-row path (with the
+// a == 0 skip) from 64 on.
+TEST(KernelConformance, FloatGemmSplitKMatchesWholeK) {
+  const std::size_t widths[] = {1, 3, 4, 12, 32, 64, 72};
+  const std::size_t splits[][2] = {{1, 1}, {4, 1}, {1, 8}, {8, 4}, {16, 9}};
+  Rng rng(131);
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (!simd::isa_supported(isa)) continue;
+    const simd::Kernels& kern = simd::kernels_for(isa);
+    for (std::size_t rows = 1; rows <= 17; ++rows) {
+      for (std::size_t m : widths) {
+        for (const auto& split : splits) {
+          const std::size_t k1 = split[0], k2 = split[1], k = k1 + k2;
+          // A carries exact zeros of either sign. C starts all zero (either
+          // sign; the engine's accumulators start at +0) on even row counts
+          // and mostly random on odd ones.
+          const std::vector<float> a = random_f32(rng, rows * k, 0.3);
+          const std::vector<float> b = random_f32(rng, k * m, 0.0);
+          const std::vector<float> seed =
+              random_f32(rng, rows * m, rows % 2 == 0 ? 1.0 : 0.2);
+          std::vector<float> a1(rows * k1), a2(rows * k2);
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t kk = 0; kk < k; ++kk) {
+              if (kk < k1) {
+                a1[r * k1 + kk] = a[r * k + kk];
+              } else {
+                a2[r * k2 + kk - k1] = a[r * k + kk];
+              }
+            }
+          }
+          std::vector<float> whole = seed;
+          kern.smatmul_rows(a.data(), b.data(), whole.data(), k, m, 0, rows);
+          std::vector<float> parts = seed;
+          kern.smatmul_rows(a1.data(), b.data(), parts.data(), k1, m, 0, rows);
+          kern.smatmul_rows(a2.data(), b.data() + k1 * m, parts.data(), k2, m,
+                            0, rows);
+          const std::size_t at = first_bit_mismatch(parts, whole);
+          EXPECT_EQ(at, parts.size())
+              << simd::isa_name(isa) << " rows=" << rows << " m=" << m
+              << " k=" << k1 << "+" << k2 << ": element " << at;
+        }
+      }
+    }
+  }
+}
+
+// slstm_step adds the gate bias itself: σ(g + b) is the same single f32 add
+// as adding b into the gates first, so in each table slstm_step(g, b)
+// equals slstm_step(g + b, 0) bit for bit.
+TEST(KernelConformance, LstmStepBiasEqualsPreAddedBias) {
+  Rng rng(132);
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (!simd::isa_supported(isa)) continue;
+    const simd::Kernels& kern = simd::kernels_for(isa);
+    for (std::size_t hdim : {1u, 3u, 8u, 9u, 16u, 17u}) {
+      for (std::size_t rows : {1u, 4u, 7u}) {
+        const std::vector<float> g = random_f32(rng, rows * 4 * hdim, 0.0);
+        const std::vector<float> bias = random_f32(rng, 4 * hdim, 0.0);
+        const std::vector<float> c0 = random_f32(rng, rows * hdim, 0.0);
+        std::vector<float> pre = g;
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t j = 0; j < 4 * hdim; ++j) {
+            pre[r * 4 * hdim + j] += bias[j];
+          }
+        }
+        const std::vector<float> zero(4 * hdim, 0.0f);
+        std::vector<float> c1 = c0, h1(rows * hdim);
+        std::vector<float> c2 = c0, h2(rows * hdim);
+        kern.slstm_step(g.data(), bias.data(), c1.data(), h1.data(), rows,
+                        hdim);
+        kern.slstm_step(pre.data(), zero.data(), c2.data(), h2.data(), rows,
+                        hdim);
+        EXPECT_EQ(first_bit_mismatch(c1, c2), c1.size())
+            << simd::isa_name(isa) << " c, h=" << hdim << " rows=" << rows;
+        EXPECT_EQ(first_bit_mismatch(h1, h2), h1.size())
+            << simd::isa_name(isa) << " h, h=" << hdim << " rows=" << rows;
+      }
+    }
+  }
+}
+
+// FMatrix storage starts on a 64-byte boundary, whatever the shape, and a
+// copy or a move keeps it there.
+TEST(KernelConformance, FMatrixStorageIs64ByteAligned) {
+  const auto aligned = [](const FMatrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.data()) % 64 == 0;
+  };
+  const std::size_t shapes[][2] = {{1, 1}, {1, 3}, {3, 5}, {7, 4},
+                                   {17, 9}, {64, 64}, {257, 3}};
+  for (const auto& shape : shapes) {
+    std::vector<FMatrix> keep;  // live neighbours, so blocks are not reused
+    for (int rep = 0; rep < 4; ++rep) {
+      FMatrix m(shape[0], shape[1]);
+      m(shape[0] - 1, shape[1] - 1) = 1.5f;
+      EXPECT_TRUE(aligned(m)) << shape[0] << "x" << shape[1];
+      const FMatrix copy = m;
+      EXPECT_TRUE(aligned(copy)) << "copy " << shape[0] << "x" << shape[1];
+      EXPECT_EQ(copy(shape[0] - 1, shape[1] - 1), 1.5f);
+      FMatrix moved = std::move(m);
+      EXPECT_TRUE(aligned(moved)) << "move " << shape[0] << "x" << shape[1];
+      FMatrix assigned;
+      assigned = copy;
+      EXPECT_TRUE(aligned(assigned)) << "assign " << shape[0] << "x"
+                                     << shape[1];
+      keep.push_back(std::move(moved));
+      keep.push_back(FMatrix::from(Matrix(shape[0], shape[1])));
+      EXPECT_TRUE(aligned(keep.back()));
     }
   }
 }
