@@ -750,6 +750,16 @@ void run_train_step_compare(const bench::BenchOptions& opts,
           timed_row("train_step_clustered", kNodes, density, threads, stats));
       std::printf("%-18s %8zu %14.0f %8s\n", "train_step_clustered", threads,
                   stats.median_ns, "(8 clusters)");
+      if (threads == 1) {
+        // Buffers the one tape keeps after steady sweeps over 8 clusters of
+        // different row counts: the size-class pool serves them all from
+        // one set instead of one set per cluster size.
+        const auto buffers = static_cast<double>(tape.pool().pooled_buffers());
+        results.push_back(counter_row("pool_buffers_clustered", kNodes,
+                                      density, buffers, threads));
+        std::printf("  %-16s %24.0f buffers\n", "pool_buffers_clustered",
+                    buffers);
+      }
     }
   }
   ThreadPool::set_global_threads(0);

@@ -50,10 +50,13 @@ void par_rows(std::size_t rows, std::size_t cols, Body&& body) {
 }
 
 // Numerically stable logistic — the single definition shared by
-// Tape::sigmoid and the fused cells, so both paths round identically.
+// Tape::sigmoid and the fused cells, so both paths round identically. One
+// exp per call: e = exp(−|x|) is exp(−x) for x >= 0 and exp(x) below, so
+// this is bitwise the two-branch 1/(1+exp(−x)) | exp(x)/(1+exp(x)) form,
+// ±0 and ±inf included.
 inline double stable_sigmoid(double x) {
-  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
-                  : std::exp(x) / (1.0 + std::exp(x));
+  const double e = std::exp(-std::fabs(x));
+  return (x >= 0.0 ? 1.0 : e) / (1.0 + e);
 }
 
 }  // namespace
@@ -862,6 +865,9 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
   const std::size_t n = nodes_[ix].value.rows();
   const std::size_t hd = nodes_[iwhh].value.rows();
   const std::size_t g4 = 4 * hd;
+  // Node layout: [i | f | o | g | tanh(c')] — the fifth block keeps the
+  // output activation for the H backward, the way gru_cell keeps h·U_n.
+  const std::size_t g5 = 5 * hd;
   {
     const Matrix& xv = nodes_[ix].value;
     const Matrix& hv = nodes_[ihp].value;
@@ -879,9 +885,9 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
                   nodes_[icp].requires_grad || nodes_[iwih].requires_grad ||
                   nodes_[iwhh].requires_grad || nodes_[ib].requires_grad;
 
-  // Gate node: activated [i | f | o | g]. Pre-activations keep the unfused
-  // chain's rounding points: (x·W_ih + h·W_hh) rounded, then + bias.
-  Matrix gates = pool_.acquire(n, g4);
+  // Gate blocks 0–3: activated [i | f | o | g]. Pre-activations keep the
+  // unfused chain's rounding points: (x·W_ih + h·W_hh) rounded, then + bias.
+  Matrix gates = pool_.acquire(n, g5);
   {
     Matrix mm1 = pool_.acquire(n, g4);
     matmul_accumulate(nodes_[ix].value, nodes_[iwih].value, mm1);
@@ -895,10 +901,11 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
     par_rows(n, g4, [=](std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) {
         const std::size_t b4 = r * g4;
+        const std::size_t b5 = r * g5;
         for (std::size_t c = 0; c < g4; ++c) {
           const double s = p1[b4 + c] + p2[b4 + c];
           const double pre = s + bp[c];
-          gp[b4 + c] = c < h3 ? stable_sigmoid(pre) : std::tanh(pre);
+          gp[b5 + c] = c < h3 ? stable_sigmoid(pre) : std::tanh(pre);
         }
       }
     });
@@ -918,31 +925,32 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
     const simd::Kernels& kern = simd::active_kernels();
     par_rows(n, hd, [=, &kern](std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t b4 = r * g4;
+        const std::size_t b5 = r * g5;
         const std::size_t bh = r * hd;
         // f ⊙ c_prev + i ⊙ g with both products rounded separately, as the
         // unfused mul/mul/add chain does.
-        kern.mul2_add(op + bh, gp + b4 + hd, cp + bh, gp + b4,
-                      gp + b4 + 3 * hd, hd);
+        kern.mul2_add(op + bh, gp + b5 + hd, cp + bh, gp + b5,
+                      gp + b5 + 3 * hd, hd);
       }
     });
   }
   Var c_var = push(std::move(cnew), rg);
   const std::size_t ic = c_var.index;
 
-  // h' = o ⊙ tanh(c'). tanh(c') is recomputed in backward instead of being
-  // stored — same bits, one fewer n×H buffer per step.
+  // h' = o ⊙ tanh(c'), with tanh(c') stored in the gate node's fifth block.
   Matrix hnew = pool_.acquire(n, hd);
   {
-    const double* gp = nodes_[ig].value.data();
+    double* gp = nodes_[ig].value.data();
     const double* cp = nodes_[ic].value.data();
     double* op = hnew.data();
     par_rows(n, hd, [=](std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t b4 = r * g4;
+        const std::size_t b5 = r * g5;
         const std::size_t bh = r * hd;
         for (std::size_t c = 0; c < hd; ++c) {
-          op[bh + c] = gp[b4 + 2 * hd + c] * std::tanh(cp[bh + c]);
+          const double tc = std::tanh(cp[bh + c]);
+          gp[b5 + 4 * hd + c] = tc;
+          op[bh + c] = gp[b5 + 2 * hd + c] * tc;
         }
       }
     });
@@ -951,29 +959,28 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
   const std::size_t ih = h_var.index;
 
   // H backward: dG_o += gh ⊙ tanh(c');  dC += (gh ⊙ o) ⊙ (1 − tanh²(c')).
-  nodes_[ih].backward = [ig, ic, ih, hd, g4](Tape& t) {
+  nodes_[ih].backward = [ig, ic, ih, hd, g5](Tape& t) {
     const Matrix& gh = t.grad_ref(ih);
     const double* ghp = gh.data();
     const double* gvp = t.node(ig).value.data();
-    const double* cvp = t.node(ic).value.data();
     double* dgp = t.grad_ref(ig).data();
     double* dcp = t.grad_ref(ic).data();
     par_rows(gh.rows(), hd, [=](std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t b4 = r * g4;
+        const std::size_t b5 = r * g5;
         const std::size_t bh = r * hd;
         for (std::size_t c = 0; c < hd; ++c) {
-          const double tc = std::tanh(cvp[bh + c]);
-          dgp[b4 + 2 * hd + c] += ghp[bh + c] * tc;
+          const double tc = gvp[b5 + 4 * hd + c];
+          dgp[b5 + 2 * hd + c] += ghp[bh + c] * tc;
           dcp[bh + c] +=
-              ghp[bh + c] * gvp[b4 + 2 * hd + c] * (1.0 - tc * tc);
+              ghp[bh + c] * gvp[b5 + 2 * hd + c] * (1.0 - tc * tc);
         }
       }
     });
   };
 
   // C backward: the add's grad flows into both product rules.
-  nodes_[ic].backward = [ig, icp, ic, hd, g4](Tape& t) {
+  nodes_[ic].backward = [ig, icp, ic, hd, g5](Tape& t) {
     const Matrix& gc = t.grad_ref(ic);
     const double* gcp = gc.data();
     const double* gvp = t.node(ig).value.data();
@@ -987,13 +994,13 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
       // per-element loop into per-segment fmadd sweeps keeps every
       // accumulator's contribution order unchanged.
       for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t b4 = r * g4;
+        const std::size_t b5 = r * g5;
         const std::size_t bh = r * hd;
-        kern.fmadd(dgp + b4, gcp + bh, gvp + b4 + 3 * hd, hd);  // di += g⊙g_gate
-        kern.fmadd(dgp + b4 + 3 * hd, gcp + bh, gvp + b4, hd);  // dg += g⊙i
-        kern.fmadd(dgp + b4 + hd, gcp + bh, cpp + bh, hd);      // df += g⊙c_prev
+        kern.fmadd(dgp + b5, gcp + bh, gvp + b5 + 3 * hd, hd);  // di += g⊙g_gate
+        kern.fmadd(dgp + b5 + 3 * hd, gcp + bh, gvp + b5, hd);  // dg += g⊙i
+        kern.fmadd(dgp + b5 + hd, gcp + bh, cpp + bh, hd);      // df += g⊙c_prev
         if (dcp != nullptr) {
-          kern.fmadd(dcp + bh, gcp + bh, gvp + b4 + hd, hd);    // dc_prev += g⊙f
+          kern.fmadd(dcp + bh, gcp + bh, gvp + b5 + hd, hd);    // dc_prev += g⊙f
         }
       }
     });
@@ -1001,7 +1008,7 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
 
   // G backward: activation derivatives → bias → the two matmul backwards
   // (h_prev/W_hh first, then x/W_ih — reverse creation order of the chain).
-  nodes_[ig].backward = [ix, ihp, iwih, iwhh, ib, ig, hd, g4](Tape& t) {
+  nodes_[ig].backward = [ix, ihp, iwih, iwhh, ib, ig, hd, g4, g5](Tape& t) {
     const Matrix& gG = t.grad_ref(ig);
     const std::size_t n2 = gG.rows();
     Matrix dpre = t.pool_.acquire(n2, g4);
@@ -1013,9 +1020,10 @@ Tape::LstmState Tape::lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih,
       par_rows(n2, g4, [=](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
           const std::size_t b4 = r * g4;
+          const std::size_t b5 = r * g5;
           for (std::size_t c = 0; c < g4; ++c) {
-            const double g = gp[b4 + c];
-            const double y = yp[b4 + c];
+            const double g = gp[b5 + c];
+            const double y = yp[b5 + c];
             dp[b4 + c] = c < h3 ? g * y * (1.0 - y) : g * (1.0 - y * y);
           }
         }

@@ -258,6 +258,8 @@ class Tape {
   /// Fused LSTM cell step. Gate layout along columns is [i | f | o | g]
   /// (σ, σ, σ, tanh); w_ih is in x 4H, w_hh is H x 4H, bias is 1 x 4H.
   ///   c' = f ⊙ c + i ⊙ g,   h' = o ⊙ tanh(c')
+  /// The gate node (n x 5H) also keeps tanh(c') as a fifth block for the
+  /// backward.
   LstmState lstm_cell(Var x, Var h_prev, Var c_prev, Var w_ih, Var w_hh,
                       Var bias);
   /// Fused GRU cell step. Gate layout along columns is [r | z | n]

@@ -43,7 +43,7 @@ ad::Var HistoricalAverageModel::training_loss(ad::Tape& tape,
   return zero_loss(tape);
 }
 
-Matrix HistoricalAverageModel::predict(const data::Window& w) {
+Matrix HistoricalAverageModel::predict_on(ad::Tape&, const data::Window& w) {
   const std::size_t n = profile_.num_nodes();
   Matrix out(n, horizon_);
   for (std::size_t h = 0; h < horizon_; ++h) {
@@ -100,7 +100,7 @@ ad::Var VarModel::training_loss(ad::Tape& tape, const data::Window&) {
   return zero_loss(tape);
 }
 
-Matrix VarModel::predict(const data::Window& w) {
+Matrix VarModel::predict_on(ad::Tape&, const data::Window& w) {
   const std::size_t n = coef_.cols();
   // Rolling state: most recent `lags` vectors, zero-filled at missing.
   std::vector<Matrix> recent;

@@ -28,7 +28,8 @@ class HistoricalAverageModel final : public core::ForecastModel {
   }
   [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
                                       const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(ad::Tape& tape,
+                                  const data::Window& w) override;
 
  private:
   ts::HistoricalProfile profile_;
@@ -53,7 +54,8 @@ class VarModel final : public core::ForecastModel {
   }
   [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
                                       const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(ad::Tape& tape,
+                                  const data::Window& w) override;
 
   [[nodiscard]] std::size_t lags() const noexcept { return lags_; }
 

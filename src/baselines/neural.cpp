@@ -35,9 +35,8 @@ Var FcLstmModel::training_loss(Tape& tape, const data::Window& w) {
   return core::joint_loss(tape, w, forward(tape, w));
 }
 
-Matrix FcLstmModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w));
+Matrix FcLstmModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w));
 }
 
 // ---- FcGcnModel -------------------------------------------------------------
@@ -71,9 +70,8 @@ Var FcGcnModel::training_loss(Tape& tape, const data::Window& w) {
   return core::joint_loss(tape, w, forward(tape, w));
 }
 
-Matrix FcGcnModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w));
+Matrix FcGcnModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w));
 }
 
 // ---- GcnLstmModel -----------------------------------------------------------
@@ -112,9 +110,8 @@ Var GcnLstmModel::training_loss(Tape& tape, const data::Window& w) {
   return core::joint_loss(tape, w, forward(tape, w));
 }
 
-Matrix GcnLstmModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w));
+Matrix GcnLstmModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w));
 }
 
 // ---- FcLstmIModel ----------------------------------------------------------
@@ -164,14 +161,12 @@ Var FcLstmIModel::training_loss(Tape& tape, const data::Window& w) {
                           config_.lambda);
 }
 
-Matrix FcLstmIModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w).prediction);
+Matrix FcLstmIModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w).prediction);
 }
 
 std::vector<Matrix> FcLstmIModel::impute(const data::Window& w) {
-  scratch_tape_.reset();
-  return std::move(forward(scratch_tape_, w).complement);
+  return std::move(forward(scratch_tape(), w).complement);
 }
 
 // ---- FcGcnIModel -------------------------------------------------------------
@@ -218,14 +213,12 @@ Var FcGcnIModel::training_loss(Tape& tape, const data::Window& w) {
                           config_.lambda);
 }
 
-Matrix FcGcnIModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w).prediction);
+Matrix FcGcnIModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w).prediction);
 }
 
 std::vector<Matrix> FcGcnIModel::impute(const data::Window& w) {
-  scratch_tape_.reset();
-  return std::move(forward(scratch_tape_, w).complement);
+  return std::move(forward(scratch_tape(), w).complement);
 }
 
 // ---- AstGcnModel ----------------------------------------------------------
@@ -275,9 +268,8 @@ Var AstGcnModel::training_loss(Tape& tape, const data::Window& w) {
   return core::joint_loss(tape, w, forward(tape, w));
 }
 
-Matrix AstGcnModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w));
+Matrix AstGcnModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w));
 }
 
 // ---- GraphWaveNetModel ------------------------------------------------------
@@ -358,9 +350,8 @@ Var GraphWaveNetModel::training_loss(Tape& tape, const data::Window& w) {
   return core::joint_loss(tape, w, forward(tape, w));
 }
 
-Matrix GraphWaveNetModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  return scratch_tape_.value(forward(scratch_tape_, w));
+Matrix GraphWaveNetModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w));
 }
 
 }  // namespace rihgcn::baselines

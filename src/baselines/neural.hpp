@@ -57,7 +57,7 @@ class FcLstmModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "FC-LSTM"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
 
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
@@ -65,7 +65,6 @@ class FcLstmModel final : public core::ForecastModel {
   Rng rng_;
   nn::LstmCell lstm_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict() calls via Tape::reset()
 };
 
 class FcGcnModel final : public core::ForecastModel {
@@ -77,7 +76,7 @@ class FcGcnModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "FC-GCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
 
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
@@ -86,7 +85,6 @@ class FcGcnModel final : public core::ForecastModel {
   Rng rng_;
   nn::ChebGcnLayer gcn_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict() calls via Tape::reset()
 };
 
 class GcnLstmModel final : public core::ForecastModel {
@@ -96,7 +94,7 @@ class GcnLstmModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "GCN-LSTM"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
 
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
@@ -106,7 +104,6 @@ class GcnLstmModel final : public core::ForecastModel {
   nn::ChebGcnLayer gcn_;
   nn::LstmCell lstm_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict() calls via Tape::reset()
 };
 
 // ---- Recurrent-imputation variants -------------------------------------------
@@ -117,7 +114,7 @@ class FcLstmIModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "FC-LSTM-I"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
  private:
@@ -130,7 +127,6 @@ class FcLstmIModel final : public core::ForecastModel {
   nn::Linear est_f_;
   nn::Linear est_b_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict()/impute() via Tape::reset()
 };
 
 class FcGcnIModel final : public core::ForecastModel {
@@ -140,7 +136,7 @@ class FcGcnIModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "FC-GCN-I"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
  private:
@@ -153,7 +149,6 @@ class FcGcnIModel final : public core::ForecastModel {
   nn::Linear est_f_;
   nn::Linear est_b_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict()/impute() via Tape::reset()
 };
 
 // ---- Attention / TCN baselines -----------------------------------------------
@@ -165,7 +160,7 @@ class AstGcnModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "ASTGCN"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
 
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
@@ -178,7 +173,6 @@ class AstGcnModel final : public core::ForecastModel {
   nn::ChebGcnLayer gcn_;
   nn::Linear temporal_score_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict() calls via Tape::reset()
 };
 
 class GraphWaveNetModel final : public core::ForecastModel {
@@ -188,7 +182,7 @@ class GraphWaveNetModel final : public core::ForecastModel {
   [[nodiscard]] std::string name() const override { return "GraphWaveNet"; }
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] Var training_loss(Tape& tape, const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(Tape& tape, const data::Window& w) override;
 
  private:
   [[nodiscard]] Var forward(Tape& tape, const data::Window& w);
@@ -204,7 +198,6 @@ class GraphWaveNetModel final : public core::ForecastModel {
   nn::Linear spatial1_;
   nn::Linear spatial2_;
   nn::Linear head_;
-  Tape scratch_tape_;  ///< reused across predict() calls via Tape::reset()
 };
 
 }  // namespace rihgcn::baselines

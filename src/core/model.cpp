@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 
 namespace rihgcn::core {
@@ -31,6 +32,45 @@ Matrix denorm_features(const Matrix& m, const data::ZScoreNormalizer* nz) {
   return out;
 }
 
+/// The one scoring loop behind both evaluate_prediction overloads: the
+/// first `max_windows` (0 = all) of `indices` are forecast `round` at a time
+/// by forecast(first, count, windows, preds), which fills windows[j] and
+/// preds[j] (N x horizon) for j < count with window indices[first + j]; each
+/// round is then scored in window order.
+template <typename Forecast>
+EvalResult score_prediction(const data::WindowSampler& sampler,
+                            const std::vector<std::size_t>& indices,
+                            const data::ZScoreNormalizer* normalizer,
+                            std::size_t horizon_prefix,
+                            std::size_t max_windows, std::size_t round,
+                            Forecast&& forecast) {
+  metrics::ErrorAccumulator acc;
+  const std::size_t horizon = sampler.horizon();
+  const std::size_t k =
+      horizon_prefix == 0 ? horizon : std::min(horizon_prefix, horizon);
+  const std::size_t count = max_windows == 0
+                                ? indices.size()
+                                : std::min(max_windows, indices.size());
+  std::vector<data::Window> windows(round);
+  std::vector<Matrix> preds(round);
+  for (std::size_t first = 0; first < count; first += round) {
+    const std::size_t n = std::min(round, count - first);
+    forecast(first, n, windows, preds);
+    for (std::size_t j = 0; j < n; ++j) {
+      // Targets are ground truth (synthetic data gives exact truth).
+      Matrix truth(preds[j].rows(), horizon);
+      for (std::size_t t = 0; t < horizon; ++t) {
+        truth.set_cols(t, windows[j].y[t]);
+      }
+      const Matrix pred = denorm_target(preds[j], normalizer);
+      truth = denorm_target(truth, normalizer);
+      acc.add(pred.slice_cols(0, k), truth.slice_cols(0, k));
+    }
+  }
+  if (acc.empty()) return {-1.0, -1.0};
+  return {acc.mae(), acc.rmse()};
+}
+
 }  // namespace
 
 EvalResult evaluate_prediction(ForecastModel& model,
@@ -39,25 +79,40 @@ EvalResult evaluate_prediction(ForecastModel& model,
                                const data::ZScoreNormalizer* normalizer,
                                std::size_t horizon_prefix,
                                std::size_t max_windows) {
-  metrics::ErrorAccumulator acc;
-  const std::size_t horizon = sampler.horizon();
-  const std::size_t k =
-      horizon_prefix == 0 ? horizon : std::min(horizon_prefix, horizon);
-  std::size_t used = 0;
-  for (const std::size_t idx : indices) {
-    if (max_windows != 0 && used >= max_windows) break;
-    ++used;
-    const data::Window w = sampler.make_window(idx);
-    Matrix pred = model.predict(w);  // N x horizon
-    // Targets are ground truth (synthetic data gives exact truth).
-    Matrix truth(pred.rows(), horizon);
-    for (std::size_t t = 0; t < horizon; ++t) truth.set_cols(t, w.y[t]);
-    pred = denorm_target(pred, normalizer);
-    truth = denorm_target(truth, normalizer);
-    acc.add(pred.slice_cols(0, k), truth.slice_cols(0, k));
-  }
-  if (acc.empty()) return {-1.0, -1.0};
-  return {acc.mae(), acc.rmse()};
+  return score_prediction(
+      sampler, indices, normalizer, horizon_prefix, max_windows, 1,
+      [&](std::size_t first, std::size_t, std::vector<data::Window>& windows,
+          std::vector<Matrix>& preds) {
+        windows[0] = sampler.make_window(indices[first]);
+        preds[0] = model.predict(windows[0]);
+      });
+}
+
+EvalResult evaluate_prediction(ForecastModel& model,
+                               const data::WindowSampler& sampler,
+                               const std::vector<std::size_t>& indices,
+                               const data::ZScoreNormalizer* normalizer,
+                               ThreadPool& crew,
+                               std::vector<std::unique_ptr<ad::Tape>>& tapes) {
+  const std::size_t workers = crew.num_threads();
+  while (tapes.size() < workers) tapes.push_back(std::make_unique<ad::Tape>());
+  return score_prediction(
+      sampler, indices, normalizer, 0, 0, workers,
+      [&](std::size_t first, std::size_t count,
+          std::vector<data::Window>& windows, std::vector<Matrix>& preds) {
+        const auto one = [&](std::size_t j) {
+          windows[j] = sampler.make_window(indices[first + j]);
+          ad::Tape& tape = *tapes[j];
+          tape.reset();
+          preds[j] = model.predict_on(tape, windows[j]);
+        };
+        if (count == 1) {
+          one(0);
+        } else {
+          crew.parallel_for(0, count, 1,
+                            [&](std::size_t j, std::size_t) { one(j); });
+        }
+      });
 }
 
 EvalResult evaluate_imputation(ForecastModel& model,

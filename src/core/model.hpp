@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "data/dataset.hpp"
 #include "data/windows.hpp"
 #include "metrics/metrics.hpp"
+#include "tensor/parallel.hpp"
 
 namespace rihgcn::core {
 
@@ -35,8 +37,17 @@ class ForecastModel {
                                               const data::Window& w) = 0;
 
   /// Predict the target feature: N x horizon matrix in the dataset's
-  /// (normalized) units.
-  [[nodiscard]] virtual Matrix predict(const data::Window& w) = 0;
+  /// (normalized) units. Records on the model's scratch tape.
+  [[nodiscard]] Matrix predict(const data::Window& w) {
+    return predict_on(scratch_tape(), w);
+  }
+
+  /// predict(w) recorded on `tape`, which the caller owns and has reset.
+  /// Parameters are only read, so threads that each bring their own tape
+  /// may predict at once (the trainer's validation crew does). Models
+  /// without a tape forward ignore it.
+  [[nodiscard]] virtual Matrix predict_on(ad::Tape& tape,
+                                          const data::Window& w) = 0;
 
   /// Reconstructed lookback values (complement matrices X̃_t), one N x D
   /// matrix per lookback step — used for imputation evaluation. Models with
@@ -45,6 +56,18 @@ class ForecastModel {
     (void)w;
     return {};
   }
+
+ protected:
+  /// The scratch tape behind predict() and impute(), reset: reset() keeps
+  /// the node vector and the buffer pool warm, so steady-state inference
+  /// does no heap allocation (DESIGN.md §10).
+  [[nodiscard]] ad::Tape& scratch_tape() {
+    scratch_tape_.reset();
+    return scratch_tape_;
+  }
+
+ private:
+  ad::Tape scratch_tape_;
 };
 
 /// Optional capability for partitioned (Cluster-GCN-style) training
@@ -87,6 +110,19 @@ struct EvalResult {
     const std::vector<std::size_t>& indices,
     const data::ZScoreNormalizer* normalizer, std::size_t horizon_prefix = 0,
     std::size_t max_windows = 0);
+
+/// evaluate_prediction over the whole horizon and every index, with the
+/// forecasts made on `crew`: each round forecasts crew.num_threads()
+/// windows, window j of the round on `tapes[j]` (grown to the crew's size
+/// and reset per window), and the round is then scored in window order by
+/// evaluate_prediction's own loop — so the result equals evaluate_prediction's
+/// bit for bit. A round of one window runs on the calling thread, outside
+/// the crew, so its kernels may still fan out on the global pool.
+[[nodiscard]] EvalResult evaluate_prediction(
+    ForecastModel& model, const data::WindowSampler& sampler,
+    const std::vector<std::size_t>& indices,
+    const data::ZScoreNormalizer* normalizer, ThreadPool& crew,
+    std::vector<std::unique_ptr<ad::Tape>>& tapes);
 
 /// Imputation metrics on held-out entries. `holdout[t]` marks entries that
 /// were observed in reality but hidden from the model

@@ -237,16 +237,12 @@ Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,
                     config_.lambda, &spec.owned_row);
 }
 
-Matrix RihgcnModel::predict(const data::Window& w) {
-  scratch_tape_.reset();
-  ImputingForward out = forward(scratch_tape_, w);
-  return scratch_tape_.value(out.prediction);
+Matrix RihgcnModel::predict_on(Tape& tape, const data::Window& w) {
+  return tape.value(forward(tape, w).prediction);
 }
 
 std::vector<Matrix> RihgcnModel::impute(const data::Window& w) {
-  scratch_tape_.reset();
-  ImputingForward out = forward(scratch_tape_, w);
-  return std::move(out.complement);
+  return std::move(forward(scratch_tape(), w).complement);
 }
 
 }  // namespace rihgcn::core

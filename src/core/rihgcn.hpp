@@ -110,7 +110,8 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] ad::Var training_loss(ad::Tape& tape,
                                       const data::Window& w) override;
-  [[nodiscard]] Matrix predict(const data::Window& w) override;
+  [[nodiscard]] Matrix predict_on(ad::Tape& tape,
+                                  const data::Window& w) override;
   [[nodiscard]] std::vector<Matrix> impute(const data::Window& w) override;
 
   // ---- Cluster-GCN decomposition (DESIGN.md §13) ---------------------------
@@ -174,10 +175,6 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   nn::Linear est_bwd_;
   nn::Linear head_;
   nn::Linear attn_score_;
-  /// Scratch tape for predict()/impute(): reset() between calls keeps the
-  /// node vector and the buffer pool warm, so steady-state inference does
-  /// no heap allocation (DESIGN.md §10).
-  ad::Tape scratch_tape_;
   /// Partitioned-training state (empty until prepare_clusters).
   std::vector<ClusterSpec> clusters_;
 };

@@ -190,14 +190,16 @@ TrainReport train_model(ForecastModel& model,
   };
   // Arena tapes, hoisted out of the epoch/batch loops: reset() recycles node
   // slots and Matrix buffers, so steady-state training steps allocate
-  // (almost) nothing (DESIGN.md §10). One tape per worker in the parallel
-  // path; the serial path uses the first.
-  ad::Tape serial_tape;
+  // (almost) nothing (DESIGN.md §10). One tape per worker; the serial path
+  // trains on the first, and validation forecasts on them too.
   std::vector<std::unique_ptr<ad::Tape>> worker_tapes;
-  // Dedicated persistent crew for the data-parallel batch workers, sized to
-  // the configured count (NOT the global pool: its size is a determinism
-  // input recorded in checkpoints, so it must not be clamped or shared).
-  // Constructed once per training run; a size-1 pool spawns no threads.
+  worker_tapes.push_back(std::make_unique<ad::Tape>());
+  ad::Tape& serial_tape = *worker_tapes.front();
+  // Dedicated persistent crew for the data-parallel batch workers and the
+  // validation forecasts, sized to the configured count (NOT the global
+  // pool: its size is a determinism input recorded in checkpoints, so it
+  // must not be clamped or shared). Constructed once per training run; a
+  // size-1 pool spawns no threads.
   ThreadPool batch_pool(config.num_threads);
   const std::size_t checkpoint_every =
       std::max<std::size_t>(1, config.checkpoint_every);
@@ -251,12 +253,15 @@ TrainReport train_model(ForecastModel& model,
                                   static_cast<double>(std::max<std::size_t>(1, batches)));
 
     // ---- Validation -----------------------------------------------------------
+    // Forecasts run on the batch crew, one worker tape each, and are scored
+    // in window order: the MAE is bitwise the serial evaluate_prediction's.
     double val_mae;
     if (!has_val) {
       val_mae = report.train_losses.back();  // degenerate: no val data
     } else {
       val_mae = evaluate_prediction(model, sampler, val_idx,
-                                    /*normalizer=*/nullptr)
+                                    /*normalizer=*/nullptr, batch_pool,
+                                    worker_tapes)
                     .mae;
     }
     report.val_maes.push_back(val_mae);

@@ -42,7 +42,8 @@ struct TrainConfig {
   /// worker runs forward/backward for a slice of the batch into a private
   /// gradient sink; sinks are reduced in worker order, so results are
   /// deterministic for a fixed thread count (floating-point addition order
-  /// changes with it).
+  /// changes with it). The same workers forecast the validation windows,
+  /// scored in window order, so the validation MAE does not depend on it.
   std::size_t num_threads = 1;
   /// Numerical health guard (see core/robust.hpp). Enabled by default; on
   /// healthy data it never intervenes and its counters stay zero.

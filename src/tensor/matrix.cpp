@@ -413,21 +413,24 @@ void matmul_at_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
   const double* ap = a.data();
   const double* bp = b.data();
   double* op = out.data();
-  // Partitioned over output rows i (columns of A); the reduction dimension r
-  // stays innermost-ascending per element, so any row partition gives the
-  // same bits as the serial r-outer seed kernel. The row update is the SIMD
-  // axpy — lanes hold independent j-columns, so vectorizing keeps bits.
+  // Aᵀ goes into this thread's scratch, then the register-tiled matmul_rows
+  // kernel runs over the output rows i (columns of A), as in matmul_bt_into.
+  // Each element still adds round(a_ri * b_rj) for ascending r onto its
+  // seed. The kernel does not skip a_ri == 0 the way a per-row axpy loop
+  // would, but for finite B such a term is ±0, and adding ±0 changes
+  // neither a non-zero sum nor a +0 one — and a chain seeded with +0 never
+  // reaches −0 — so from a zeroed output (every tape backward) the bits are
+  // those of the skipping loop.
+  thread_local std::vector<double> at_scratch;
+  at_scratch.resize(p * n);
+  double* atp = at_scratch.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t i = 0; i < p; ++i) atp[i * n + r] = ap[r * p + i];
+  }
   const simd::Kernels& kern = simd::active_kernels();
   for_rows(p, n * p * m,
-           [ap, bp, op, n, p, m, &kern](std::size_t i0, std::size_t i1) {
-             for (std::size_t i = i0; i < i1; ++i) {
-               double* orow = op + i * m;
-               for (std::size_t r = 0; r < n; ++r) {
-                 const double av = ap[r * p + i];
-                 if (av == 0.0) continue;
-                 kern.axpy(orow, av, bp + r * m, m);
-               }
-             }
+           [atp, bp, op, n, m, &kern](std::size_t i0, std::size_t i1) {
+             kern.matmul_rows(atp, bp, op, n, m, i0, i1);
            });
 }
 

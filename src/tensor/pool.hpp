@@ -5,11 +5,16 @@
 // buffers all die together when the step ends. Instead of returning that
 // memory to the heap and re-allocating identical buffers on the next step,
 // the pool keeps retired std::vector<double> storage in buckets keyed by
-// element count. acquire() pops a buffer from the matching bucket (zeroing
-// it) or allocates on a miss; release() retires storage back to its bucket.
-// After one warm-up step every acquire hits, so steady-state steps perform
-// near-zero heap allocation — the hit/miss counters make that measurable
-// (bench_micro reports the per-step miss delta as `pool_steady_allocs`).
+// size class: capacities rounded up at 4 classes per octave (at most 25%
+// slack). acquire() pops a buffer from the class that holds the request
+// (zeroing it) or allocates a whole class's capacity on a miss; release()
+// files storage under the largest class its capacity covers. After one
+// warm-up step every acquire hits, so steady-state steps perform near-zero
+// heap allocation — the hit/miss counters make that measurable (bench_micro
+// reports the per-step miss delta as `pool_steady_allocs`). Classes also
+// let one tape serve graphs of nearby sizes from the same buffers: a
+// partitioned-training worker that meets clusters of slightly different
+// row counts keeps one set of buffers, not one per cluster size.
 //
 // Not thread-safe: a pool belongs to exactly one Tape, and a Tape is only
 // ever driven by one thread at a time (the threaded kernels it calls fan
@@ -26,12 +31,12 @@ namespace rihgcn {
 
 class BufferPool {
  public:
-  /// Zero-filled rows x cols matrix, reusing retired storage with the same
-  /// element count when available.
+  /// Zero-filled rows x cols matrix, reusing retired storage of the size
+  /// class that holds rows * cols elements when available.
   [[nodiscard]] Matrix acquire(std::size_t rows, std::size_t cols);
 
-  /// Retire a matrix's storage into the bucket for its element count.
-  /// Empty matrices are dropped (nothing to recycle).
+  /// Retire a matrix's storage into the largest size class its capacity
+  /// covers. Empty matrices are dropped (nothing to recycle).
   void release(Matrix&& m);
 
   /// Drop every pooled buffer, returning the memory to the heap. Counters

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "tensor/csr.hpp"
 #include "tensor/parallel.hpp"
@@ -218,6 +222,35 @@ TEST(TapeGrad, Sigmoid) {
   expect_gradients_match(ps, [](Tape& t, std::vector<Var>& v) {
     return t.mean_all(t.sigmoid(v[0]));
   });
+}
+
+TEST(Tape, SigmoidMatchesTwoBranchFormulaBitwise) {
+  // The logistic takes one exp, of −|x|; it must round exactly as the
+  // two-branch form 1/(1+exp(−x)) | exp(x)/(1+exp(x)), edges included.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> magnitudes{0.0,   denorm, 1e-310, 1.0,
+                                       20.0,  709.5,  745.2,  inf};
+  std::vector<double> xs;
+  for (const double m : magnitudes) {
+    xs.push_back(m);
+    xs.push_back(-m);
+  }
+  Matrix in(1, xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) in(0, i) = xs[i];
+  Tape tape;
+  const Matrix got = tape.value(tape.sigmoid(tape.constant(in)));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    // volatile: keeps the compiler from folding exp() at build time, which
+    // may round differently from the library call the tape makes.
+    volatile double vx = xs[i];
+    const double x = vx;
+    const double want = x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                                 : std::exp(x) / (1.0 + std::exp(x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got(0, i)),
+              std::bit_cast<std::uint64_t>(want))
+        << "x = " << x << ": " << got(0, i) << " vs " << want;
+  }
 }
 
 TEST(TapeGrad, Tanh) {

@@ -181,7 +181,8 @@ TEST(ClusteredTrainer, ThrowsForNonClusterTrainableModel) {
                                         const data::Window&) override {
       return tape.constant(Matrix(1, 1, 1.0));
     }
-    [[nodiscard]] Matrix predict(const data::Window& w) override {
+    [[nodiscard]] Matrix predict_on(ad::Tape&,
+                                    const data::Window& w) override {
       return Matrix(w.x_obs.front().rows(), 3, 0.0);
     }
 

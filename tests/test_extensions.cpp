@@ -327,6 +327,28 @@ TEST(ParallelTrainer, MatchesSerialLoss) {
   EXPECT_NEAR(r1.best_val_mae, r2.best_val_mae, 1e-6);
 }
 
+TEST(ParallelTrainer, ValidationOnCrewMatchesSerialBitwise) {
+  // The trainer forecasts the validation windows on its batch workers and
+  // scores them in window order; the MAE it early-stops on must be the
+  // serial evaluate_prediction's to the bit. restore_best = false keeps the
+  // last epoch's parameters, the ones its val MAE was measured with.
+  SmallPipeline p;
+  ASSERT_GT(p.split.val.size() % 4, 0u) << "want a partial last round";
+  core::RihgcnModel model(*p.graphs, 6, 4, p.config());
+  core::TrainConfig cfg;
+  cfg.max_epochs = 2;
+  cfg.max_train_windows = 16;
+  cfg.max_val_windows = 0;
+  cfg.batch_size = 8;
+  cfg.num_threads = 4;
+  cfg.restore_best = false;
+  const auto report = core::train_model(model, *p.sampler, p.split, cfg);
+  ASSERT_EQ(report.val_maes.size(), 2u);
+  EXPECT_EQ(report.val_maes.back(),
+            core::evaluate_prediction(model, *p.sampler, p.split.val, nullptr)
+                .mae);
+}
+
 // ---- MAPE ---------------------------------------------------------------------
 
 TEST(Mape, KnownValue) {

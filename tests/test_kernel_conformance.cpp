@@ -27,6 +27,7 @@
 // All KernelConformance.* tests also run under TSan (tools/run_tsan.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -282,6 +283,78 @@ TEST(KernelConformance, DenseOpsIsaInvariantAcrossThreads) {
             ref_scaled(i, j) = ref_scaled(i, j) * 1.7;
       }
       EXPECT_EQ(scaled, ref_scaled) << simd::isa_name(isa) << " @" << threads;
+    }
+  }
+}
+
+// Bit patterns equal, element for element: unlike Matrix ==, tells +0 from −0.
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]),
+              std::bit_cast<std::uint64_t>(want.data()[i]))
+        << where << " element " << i << ": " << got.data()[i] << " vs "
+        << want.data()[i];
+  }
+}
+
+// Aᵀ·B the way the weight-gradient product used to run: per output row i,
+// one axpy per input row r, skipping a_ri == 0.
+Matrix matmul_at_axpy_reference(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      const double av = a(r, i);
+      if (av == 0.0) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += av * b(r, j);
+    }
+  }
+  return out;
+}
+
+TEST(KernelConformance, MatmulAtMatchesSkippingAxpyBitwise) {
+  // matmul_at runs the matmul_rows kernel over a transposed copy of A, so
+  // it adds the ±0 products the axpy loop skipped. The A operands of the
+  // tape's weight gradients are this sparse: 0/1 masks and ReLU outputs.
+  Rng rng(67);
+  struct Shape {
+    std::size_t n, p, m;  // A is n x p, B is n x m
+  };
+  for (const Shape s : {Shape{1, 1, 1}, Shape{7, 3, 5}, Shape{13, 9, 17},
+                        Shape{40, 12, 33}, Shape{96, 20, 64}}) {
+    Matrix mask(s.n, s.p), relu(s.n, s.p);
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      mask.data()[i] = rng.bernoulli(0.5) ? 1.0 : 0.0;
+      relu.data()[i] = std::max(0.0, rng.normal(0.0, 1.0));
+    }
+    // Finite B with signed zeros among its entries.
+    Matrix b = rng.normal_matrix(s.n, s.m, 1.0);
+    for (std::size_t i = 0; i < b.size(); i += 5) {
+      b.data()[i] = i % 2 == 0 ? 0.0 : -0.0;
+    }
+    for (const Matrix* a : {&mask, &relu}) {
+      std::size_t zeros = 0;
+      for (std::size_t i = 0; i < a->size(); ++i) zeros += a->data()[i] == 0.0;
+      if (a->size() >= 20) {
+        ASSERT_GE(zeros * 10, a->size() * 4);
+      }
+      const Matrix want = matmul_at_axpy_reference(*a, b);
+      std::vector<simd::Isa> isas{simd::Isa::kScalar};
+      if (avx2_available()) isas.push_back(simd::Isa::kAvx2);
+      for (simd::Isa isa : isas) {
+        for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+          SimdBackendGuard guard(isa, threads);
+          expect_same_bits(matmul_at(*a, b), want,
+                           std::string(a == &mask ? "mask" : "relu") + " " +
+                               std::to_string(s.n) + "x" +
+                               std::to_string(s.p) + "x" +
+                               std::to_string(s.m) + " " +
+                               simd::isa_name(isa) + " @" +
+                               std::to_string(threads) + "T");
+        }
+      }
     }
   }
 }

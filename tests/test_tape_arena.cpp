@@ -353,6 +353,32 @@ TEST(TapeArena, DirtyPoolDoesNotLeakStaleValues) {
   EXPECT_EQ(expected.grad, got.grad);
 }
 
+TEST(TapeArena, MoreRowsInTheSameSizeClassesAllocateNothing) {
+  // Partitioned training runs one tape over clusters of slightly different
+  // row counts. The pool buckets by size class (4 per octave), so after a
+  // 97-row step — every buffer here holds 1, 3 or 4 elements per row, i.e.
+  // 97, 291 and 388 elements, in the 112-, 320- and 448-element classes —
+  // steps of 100 and 104 rows fit the same buffers and allocate nothing.
+  Parameter w(randn(4, 3, 81), "w");
+  Parameter b(randn(1, 3, 82), "b");
+  Tape tape;
+  (void)run_graph(tape, w, b, randn(97, 4, 83), randn(97, 3, 84),
+                  Matrix(97, 3, 1.0));
+  const std::size_t warm_misses = tape.pool().misses();
+  for (const std::size_t rows : {100u, 104u, 97u}) {
+    const Matrix x = randn(rows, 4, 85);
+    const Matrix target = randn(rows, 3, 86);
+    const Matrix mask(rows, 3, 1.0);
+    Tape fresh;
+    const GraphRun expected = run_graph(fresh, w, b, x, target, mask);
+    tape.reset();
+    const GraphRun got = run_graph(tape, w, b, x, target, mask);
+    EXPECT_EQ(got.loss, expected.loss) << rows << " rows";
+    EXPECT_EQ(got.grad, expected.grad) << rows << " rows";
+    EXPECT_EQ(tape.pool().misses(), warm_misses) << rows << " rows";
+  }
+}
+
 TEST(TapeArena, LeafIsDeduplicatedPerResetCycle) {
   Parameter p(randn(2, 2, 41), "p");
   Tape tape;

@@ -85,7 +85,8 @@ TEST(Trainer, EarlyStoppingTriggersOnPlateau) {
       // Loss independent of the parameter: validation never improves.
       return tape.constant(Matrix(1, 1, 1.0));
     }
-    [[nodiscard]] Matrix predict(const data::Window& w) override {
+    [[nodiscard]] Matrix predict_on(ad::Tape&,
+                                    const data::Window& w) override {
       return Matrix(w.x_obs.front().rows(), horizon_, 0.5);
     }
 
@@ -210,7 +211,8 @@ TEST(Evaluate, PredictionErrorsOfPerfectModelAreZero) {
                                         const data::Window&) override {
       return tape.constant(Matrix(1, 1));
     }
-    [[nodiscard]] Matrix predict(const data::Window& w) override {
+    [[nodiscard]] Matrix predict_on(ad::Tape&,
+                                    const data::Window& w) override {
       Matrix out(w.y.front().rows(), horizon_);
       for (std::size_t t = 0; t < horizon_; ++t) out.set_cols(t, w.y[t]);
       return out;
@@ -238,7 +240,8 @@ TEST(Evaluate, HorizonPrefixRestricts) {
                                         const data::Window&) override {
       return tape.constant(Matrix(1, 1));
     }
-    [[nodiscard]] Matrix predict(const data::Window& w) override {
+    [[nodiscard]] Matrix predict_on(ad::Tape&,
+                                    const data::Window& w) override {
       // Perfect at step 0, off by 1 at later steps.
       Matrix out(w.y.front().rows(), 3);
       for (std::size_t t = 0; t < 3; ++t) {

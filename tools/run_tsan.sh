@@ -24,8 +24,10 @@
 # built once per call. ParallelTrainer* and ClusteredTrainer* run
 # train_model on several batch workers (per-worker arena tapes and gradient
 # sinks reduced in worker order — the path every perfbench workload trains
-# on), and RecurrentImputationTest* runs RIHGCN and the -I baselines through
-# the shared Eq. 3–7 recipe.
+# on); ParallelTrainer.ValidationOnCrewMatchesSerialBitwise also races the
+# validation forecasts those workers make after each epoch (one tape each,
+# shared read-only parameters). RecurrentImputationTest* runs RIHGCN and the
+# -I baselines through the shared Eq. 3–7 recipe.
 #
 # Usage: tools/run_tsan.sh [extra gtest filter]
 set -euo pipefail
